@@ -31,11 +31,14 @@
 //! Exits non-zero if any implementation pair disagrees on cycles,
 //! `chains_built`, or the streamed relation, or if a precision contract
 //! is broken — a correctness failure, which CI's perf-smoke step turns
-//! into a red build.
+//! into a red build. It also exits non-zero if a join row's indexed join
+//! falls below the naive join's wall-clock speedup floor; that timing
+//! gate lives here, not in the library's unit tests.
 
 use df_bench::{
-    igoodlock_bench, join_parallel_bench, precision_bench, streaming_bench, trace_io_bench_rows,
-    IGoodlockBenchRow, JoinParallelRow, PrecisionRow, StreamingBenchRow, TraceIoBenchRow,
+    check_row_speedups, igoodlock_bench, join_parallel_bench, precision_bench, streaming_bench,
+    trace_io_bench_rows, IGoodlockBenchRow, JoinParallelRow, PrecisionRow, StreamingBenchRow,
+    TraceIoBenchRow,
 };
 use serde::Serialize;
 
@@ -400,6 +403,10 @@ fn main() {
         }
     };
     print_rows(&join);
+    if let Err(e) = check_row_speedups(&join) {
+        eprintln!("speedup gate: {e}");
+        std::process::exit(1);
+    }
     let join_parallel =
         match join_parallel_bench(&args.sizes, args.pairs, args.noise, args.reps, &args.jobs) {
             Ok(rows) => rows,

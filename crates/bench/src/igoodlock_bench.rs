@@ -203,8 +203,9 @@ pub fn igoodlock_bench_row(
     })
 }
 
-/// The lowest `speedup` a bench row may report before the sweep fails.
-/// Small relations now dispatch to the naive join directly (the
+/// The lowest `speedup` a bench row may report before the
+/// `igoodlock_bench` binary fails (see [`check_row_speedups`]). Small
+/// relations now dispatch to the naive join directly (the
 /// index-construction fast path), so indexed can never structurally lose
 /// to naive; what remains is wall-clock noise on microsecond-scale rows.
 /// Rows too fast to time reliably get a looser floor.
@@ -218,10 +219,9 @@ fn min_row_speedup(naive_ms: f64) -> f64 {
 
 /// The full sweep behind `BENCH_igoodlock.json`: a philosophers ring per
 /// entry of `ring_sizes`, plus one large synthetic relation of
-/// `pairs` two-cycles and `noise` acyclic tuples. Fails if any row's
-/// indexed join regresses below the naive join (see [`min_row_speedup`])
-/// — the guard that caught small rings paying index-construction cost
-/// for buckets they never amortized.
+/// `pairs` two-cycles and `noise` acyclic tuples. Fails only on a parity
+/// error (see [`igoodlock_bench_row`]); wall-clock is gated separately by
+/// [`check_row_speedups`].
 pub fn igoodlock_bench(
     ring_sizes: &[u32],
     pairs: u32,
@@ -239,7 +239,17 @@ pub fn igoodlock_bench(
         &rel,
         reps,
     )?);
-    for row in &rows {
+    Ok(rows)
+}
+
+/// The wall-clock gate over [`igoodlock_bench`] rows: fails if any row's
+/// indexed join regresses below the naive join (see [`min_row_speedup`])
+/// — the guard that caught small rings paying index-construction cost
+/// for buckets they never amortized. Only the `igoodlock_bench` binary
+/// enforces it: on microsecond-scale rows timing is noise, which has no
+/// place in a unit test.
+pub fn check_row_speedups(rows: &[IGoodlockBenchRow]) -> Result<(), String> {
+    for row in rows {
         let floor = min_row_speedup(row.naive_ms);
         if row.speedup < floor {
             return Err(format!(
@@ -249,7 +259,7 @@ pub fn igoodlock_bench(
             ));
         }
     }
-    Ok(rows)
+    Ok(())
 }
 
 /// One row of the `join_parallel` envelope: a workload joined with the

@@ -17,8 +17,9 @@ mod streaming_bench;
 mod trace_bench;
 
 pub use igoodlock_bench::{
-    igoodlock_bench, igoodlock_bench_row, join_parallel_bench, join_parallel_rows,
-    philosophers_ring_relation, synthetic_join_relation, IGoodlockBenchRow, JoinParallelRow,
+    check_row_speedups, igoodlock_bench, igoodlock_bench_row, join_parallel_bench,
+    join_parallel_rows, philosophers_ring_relation, synthetic_join_relation, IGoodlockBenchRow,
+    JoinParallelRow,
 };
 pub use precision::{precision_bench, precision_row, PrecisionRow};
 pub use streaming_bench::{streaming_bench, streaming_bench_row, StreamingBenchRow};

@@ -22,7 +22,9 @@
 //!
 //! Programs under test are written against the virtual-thread runtime's
 //! [`df_runtime::TCtx`] handle (the Rust stand-in for the paper's bytecode
-//! instrumentation — `std::sync` locks cannot be intercepted).
+//! instrumentation — `std::sync` locks cannot be intercepted). Programs
+//! on real OS threads use `df-lock`'s tracked locks instead; [`session`]
+//! runs both phases on them.
 //!
 //! # Quickstart
 //!
@@ -66,6 +68,7 @@ mod pipeline;
 mod pool;
 mod program;
 mod report;
+pub mod session;
 
 pub use allocate::{allocate_trials, trials_saved, AllocationOutcome, BatchResult, CycleBudget};
 pub use config::{Config, Variant};

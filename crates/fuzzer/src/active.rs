@@ -150,20 +150,16 @@ impl ActiveStrategy {
     ) -> bool {
         let thread_abs = self.abstractor.abs(view.objects(), t.obj);
         let lock_abs = self.abstractor.abs(view.objects(), lock);
-        if self.config.use_context {
-            let mut context = t.context_stack.to_vec();
-            context.push(site);
-            self.config
-                .cycle
-                .find_component(&thread_abs, &lock_abs, &context)
-                .is_some()
-        } else {
-            self.config
-                .cycle
-                .components()
-                .iter()
-                .any(|c| c.thread == thread_abs && c.lock == lock_abs)
-        }
+        self.config
+            .cycle
+            .find_component(
+                &thread_abs,
+                &lock_abs,
+                t.context_stack,
+                site,
+                self.config.use_context,
+            )
+            .is_some()
     }
 
     /// The §4 test: is `t` about to perform the *outermost* acquire of a

@@ -333,17 +333,24 @@ impl AbstractCycle {
         self.components.is_empty()
     }
 
-    /// Finds the component that matches `(thread, lock, context)`, if any
-    /// — the membership test `(abs(t), abs(l), C) ∈ Cycle` of Algorithm 3.
+    /// The membership test `(abs(t), abs(l), C) ∈ Cycle` of Algorithm 3
+    /// line 12, for a thread about to acquire `lock` at `site` while
+    /// holding locks acquired at `held_sites` — so `C` is `held_sites`
+    /// followed by `site`. With `use_context` off, only the thread and
+    /// lock abstractions must match. Returns the matching component.
     pub fn find_component(
         &self,
         thread: &Abstraction,
         lock: &Abstraction,
-        context: &[Label],
+        held_sites: &[Label],
+        site: Label,
+        use_context: bool,
     ) -> Option<&AbstractComponent> {
-        self.components
-            .iter()
-            .find(|c| &c.thread == thread && &c.lock == lock && c.context == context)
+        self.components.iter().find(|c| {
+            &c.thread == thread
+                && &c.lock == lock
+                && (!use_context || c.context.split_last() == Some((&site, held_sites)))
+        })
     }
 
     /// Whether `other` is the same cycle up to rotation.
@@ -449,14 +456,32 @@ mod tests {
             vec![l("a:1"), l("a:2")],
         );
         let cycle = AbstractCycle::new(vec![comp.clone()]);
+        let (t, lk) = (&comp.thread, &comp.lock);
         assert!(cycle
-            .find_component(&comp.thread, &comp.lock, &comp.context)
+            .find_component(t, lk, &[l("a:1")], l("a:2"), true)
             .is_some());
+        // Wrong site, wrong held prefix, or a missing outer hold all miss.
         assert!(cycle
-            .find_component(&comp.thread, &comp.lock, &[l("a:1")])
+            .find_component(t, lk, &[l("a:1")], l("a:3"), true)
             .is_none());
         assert!(cycle
-            .find_component(&Abstraction::Site(l("t:2")), &comp.lock, &comp.context)
+            .find_component(t, lk, &[l("a:0")], l("a:2"), true)
+            .is_none());
+        assert!(cycle.find_component(t, lk, &[], l("a:2"), true).is_none());
+        assert!(cycle
+            .find_component(
+                &Abstraction::Site(l("t:2")),
+                lk,
+                &[l("a:1")],
+                l("a:2"),
+                true
+            )
+            .is_none());
+        // Context-insensitive: any context matches the (thread, lock) pair,
+        // but the pair itself must still match.
+        assert!(cycle.find_component(t, lk, &[], l("z:9"), false).is_some());
+        assert!(cycle
+            .find_component(&Abstraction::Site(l("t:2")), lk, &[], l("a:2"), false)
             .is_none());
         assert_eq!(comp.acquire_site(), l("a:2"));
         assert_eq!(comp.outermost_site(), l("a:1"));

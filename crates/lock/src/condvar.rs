@@ -7,6 +7,10 @@ use df_events::{caller_site, ObjId};
 use crate::mutex::TrackedMutexGuard;
 use crate::tracker::{self, Tracker, TrackerInner};
 
+/// How long one park of a condvar wait lasts under a pause policy
+/// before it checks whether the run aborted.
+const WAIT_SLICE: std::time::Duration = std::time::Duration::from_millis(5);
+
 /// A `std::sync::Condvar` replacement that feeds the event stream and
 /// keeps the online wait-for graph truthful across waits.
 ///
@@ -24,7 +28,9 @@ use crate::tracker::{self, Tracker, TrackerInner};
 ///   waiter holds) is detected by whichever thread closes it;
 /// * the reacquisition is restored silently, matching the virtual
 ///   runtime's `WaitReacquire` — the original `Acquire` already
-///   carries the lock dependency.
+///   carries the lock dependency;
+/// * under a [`crate::PausePolicy`] the park is sliced, so a waiter that
+///   is never notified still unwinds when the run aborts.
 ///
 /// # Example
 ///
@@ -95,10 +101,26 @@ impl TrackedCondvar {
             Arc::ptr_eq(&self.tracker, lock.tracker_inner()),
             "condvar and mutex must share a tracker"
         );
-        tracker::cond_wait_begin(&self.tracker, self.id, lock.id(), site);
-        let (native, poisoned) = match self.cv.wait(native) {
-            Ok(g) => (g, false),
-            Err(p) => (p.into_inner(), true),
+        let notifies = tracker::cond_wait_begin(&self.tracker, self.id, lock.id(), site);
+        let (native, poisoned) = if self.tracker.policy.is_none() {
+            match self.cv.wait(native) {
+                Ok(g) => (g, false),
+                Err(p) => (p.into_inner(), true),
+            }
+        } else {
+            // Under a pause policy, park in slices so an aborted run can
+            // unwind this thread.
+            let mut native = native;
+            loop {
+                let (g, slice) = match self.cv.wait_timeout(native, WAIT_SLICE) {
+                    Ok(woken) => woken,
+                    Err(p) => break (p.into_inner().0, true),
+                };
+                if !slice.timed_out() || tracker::cond_wait_poll(&self.tracker, notifies) {
+                    break (g, false);
+                }
+                native = g;
+            }
         };
         tracker::cond_wait_end(&self.tracker, lock.id(), site);
         let g = lock.guard(native, site);

@@ -3,10 +3,10 @@
 //! recovery.
 //!
 //! The rest of the workspace analyzes programs running inside the
-//! serialized virtual runtime or behind `df-realthread`'s controller.
-//! This crate is the front door for *real* programs on the *native* OS
-//! scheduler: swap `std::sync::Mutex` → [`TrackedMutex`],
-//! `std::sync::RwLock` → [`TrackedRwLock`], `std::thread::spawn` →
+//! serialized virtual runtime. This crate is the front door for *real*
+//! programs on the *native* OS scheduler: swap `std::sync::Mutex` →
+//! [`TrackedMutex`], `std::sync::RwLock` → [`TrackedRwLock`],
+//! `std::sync::Condvar` → [`TrackedCondvar`], `std::thread::spawn` →
 //! [`TrackedThread::spawn`], and
 //!
 //! * every acquisition/release/spawn flows into the existing
@@ -25,7 +25,15 @@
 //!   recoverable `Err`, poisoned locks are recovered with release
 //!   events still emitted, and [`Tracker::seal`] (also run by the
 //!   [`DeadlockHandler::SealAndExit`] handler) makes the spill of a
-//!   deadlocked run analyzable post-mortem.
+//!   deadlocked run analyzable post-mortem;
+//! * a [`PausePolicy`] turns the same tracker into DeadlockFuzzer's
+//!   Phase II: a pre-acquire hook pauses acquisitions the policy picks,
+//!   `checkRealDeadlock` runs before each pause, a watchdog thrashes and
+//!   un-pauses stuck threads, and a created deadlock aborts the run by
+//!   unwinding its threads ([`Tracker::finish`] reports the verdict).
+//!   `deadlock_fuzzer::session` supplies the Algorithm 3 policy.
+//!   [`Tracker::scope`] adds execution-index call frames so abstractions
+//!   can tell loop iterations apart.
 //!
 //! # Quickstart
 //!
@@ -55,6 +63,7 @@
 mod condvar;
 mod handler;
 mod mutex;
+mod pause;
 mod rwlock;
 mod thread;
 mod tls;
@@ -64,6 +73,7 @@ mod wfg;
 pub use condvar::TrackedCondvar;
 pub use handler::{DeadlockHandler, LIVE_DEADLOCK_EXIT_CODE};
 pub use mutex::{TrackedMutex, TrackedMutexGuard};
+pub use pause::{is_abort, AcquireRequest, Decision, PausePolicy, Stop, Timeouts};
 pub use rwlock::{TrackedRwLock, TrackedRwLockReadGuard, TrackedRwLockWriteGuard};
 pub use thread::{TrackedJoinHandle, TrackedThread};
 pub use tracker::{Tracker, TrackerConfig};

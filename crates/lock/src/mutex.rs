@@ -67,13 +67,16 @@ impl<T> TrackedMutex<T> {
     ///
     /// A contended acquisition registers a wait edge in the wait-for
     /// graph first; if that edge closes a cycle the configured
-    /// [`crate::DeadlockHandler`] fires *before* this thread parks. A
+    /// [`crate::DeadlockHandler`] fires *before* this thread parks (under
+    /// a [`crate::PausePolicy`] the run aborts and this thread unwinds
+    /// instead). A
     /// poisoned mutex is reported as `Err` exactly like `std`, with the
     /// guard recoverable via [`PoisonError::into_inner`] (the recovery
     /// is counted and release events still flow).
     #[track_caller]
     pub fn lock(&self) -> LockResult<TrackedMutexGuard<'_, T>> {
         let site = caller_site();
+        tracker::before_acquire(&self.tracker, self.id, site, Access::Exclusive);
         match self.data.try_lock() {
             Ok(g) => {
                 tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
@@ -136,6 +139,7 @@ impl<T> TrackedMutex<T> {
     #[track_caller]
     pub fn try_lock_for(&self, timeout: Duration) -> TryLockResult<TrackedMutexGuard<'_, T>> {
         let site = caller_site();
+        tracker::before_acquire(&self.tracker, self.id, site, Access::Exclusive);
         match self.data.try_lock() {
             Ok(g) => {
                 tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
@@ -244,5 +248,19 @@ impl<T> Drop for TrackedMutexGuard<'_, T> {
         // already have re-acquired.
         tracker::release(&self.lock.tracker, self.lock.id, self.site);
         self.data.take();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::TrackerConfig;
+
+    #[test]
+    fn lock_guards_data() {
+        let tracker = Tracker::new(TrackerConfig::default());
+        let m = TrackedMutex::with_tracker(&tracker, vec![1, 2]);
+        m.lock().unwrap().push(3);
+        assert_eq!(*m.lock().unwrap(), vec![1, 2, 3]);
     }
 }

@@ -1,5 +1,6 @@
 //! Drop-in tracked thread spawning.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use df_events::{caller_site, Label, ThreadId};
@@ -33,19 +34,6 @@ impl TrackedThread {
     }
 }
 
-/// Emits `ThreadExit` when the child returns *or unwinds*: the event
-/// must flow even for a panicking thread so the trace stays coherent.
-struct ExitGuard {
-    inner: Arc<TrackerInner>,
-    id: ThreadId,
-}
-
-impl Drop for ExitGuard {
-    fn drop(&mut self) {
-        tracker::thread_exited(&self.inner, self.id);
-    }
-}
-
 pub(crate) fn spawn_impl<F, T>(
     inner: &Arc<TrackerInner>,
     name: String,
@@ -64,11 +52,12 @@ where
         .spawn(move || {
             crate::tls::bind(&inner_for_child, child);
             tracker::thread_started(&inner_for_child, child);
-            let _exit = ExitGuard {
-                inner: Arc::clone(&inner_for_child),
-                id: child,
-            };
-            f()
+            // `ThreadExit` flows even for a panicking thread, so the
+            // trace stays coherent.
+            let result = panic::catch_unwind(AssertUnwindSafe(f));
+            let payload = result.as_ref().err().map(|p| &**p);
+            tracker::thread_exited(&inner_for_child, child, payload);
+            result.unwrap_or_else(|p| panic::resume_unwind(p))
         })
         .expect("spawn tracked thread");
     TrackedJoinHandle {
@@ -94,12 +83,22 @@ impl<T> TrackedJoinHandle<T> {
     /// Waits for the thread to finish, like
     /// `std::thread::JoinHandle::join`: a panicking child returns
     /// `Err` with the panic payload (and its locks were already
-    /// released — with events — during the unwind).
+    /// released — with events — during the unwind). A child unwound by
+    /// an aborted pause-policy run unwinds the joiner too (see
+    /// [`crate::is_abort`]), so program code never sees the abort. Under
+    /// a pause policy the joiner unwinds as soon as the run aborts, even
+    /// if the child is stuck on a lock the joiner holds.
     pub fn join(self) -> std::thread::Result<T> {
+        if self.inner.policy.is_some() {
+            crate::pause::await_exit(&self.inner, || self.handle.is_finished());
+        }
         let result = self.handle.join();
         let joiner = tracker::current_thread(&self.inner);
         tracker::thread_joined(&self.inner, joiner, self.target);
-        result
+        match result {
+            Err(payload) if crate::is_abort(payload.as_ref()) => panic::resume_unwind(payload),
+            result => result,
+        }
     }
 
     /// Whether the thread has finished running.

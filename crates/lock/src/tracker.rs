@@ -23,10 +23,16 @@
 //!   registry never claims a hold that has been given up, and a stale
 //!   wait edge always points at a lock whose registry holder entry is
 //!   already cleared. False cycles cannot form.
+//!
+//! A tracker configured with a [`PausePolicy`] additionally runs Phase
+//! II on its threads (see [`crate::pause`]): every blocking acquisition
+//! passes a pre-acquire hook that may pause it, and a cycle aborts the
+//! run instead of letting its last thread park.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use df_events::{
     AcquireMode, Event, EventKind, IndexFrame, Label, ObjId, ObjKind, ObjectTable, SinkHandle,
@@ -34,9 +40,10 @@ use df_events::{
 };
 use df_obs::Obs;
 use df_runtime::{DeadlockWitness, Detector, WitnessComponent};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::handler::{DeadlockHandler, LIVE_DEADLOCK_EXIT_CODE};
+use crate::pause::{self, PausePolicy, Stop};
 use crate::tls;
 use crate::wfg::WfGraph;
 
@@ -56,6 +63,12 @@ pub struct TrackerConfig {
     /// sinks on [`Tracker::seal`] then carries events, not just the
     /// object table). Off by default: streaming sinks don't need it.
     pub record_events: bool,
+    /// Phase II policy consulted before every blocking acquisition.
+    /// When set, a cycle aborts the run (unwinding its threads) instead
+    /// of invoking `handler`, and a watchdog enforces the policy's
+    /// [`crate::Timeouts`]. `None` (the default) records and detects
+    /// only.
+    pub pause_policy: Option<Arc<dyn PausePolicy>>,
 }
 
 impl TrackerConfig {
@@ -80,6 +93,12 @@ impl TrackerConfig {
     /// Also records the in-memory event trace.
     pub fn with_record_events(mut self, record: bool) -> Self {
         self.record_events = record;
+        self
+    }
+
+    /// Runs Phase II under `policy`.
+    pub fn with_pause_policy(mut self, policy: Arc<dyn PausePolicy>) -> Self {
+        self.pause_policy = Some(policy);
         self
     }
 
@@ -119,41 +138,80 @@ enum Holders {
 }
 
 #[derive(Debug)]
-struct ThreadState {
-    obj: ObjId,
-    name: String,
+pub(crate) struct ThreadState {
+    pub(crate) obj: ObjId,
+    pub(crate) name: String,
     /// Locks held, outermost first (repeats on re-entrant tries).
     lock_stack: Vec<ObjId>,
     /// Acquisition sites parallel to `lock_stack`.
-    context_stack: Vec<Label>,
-    /// Per-site allocation counts for execution-index object metadata.
-    alloc_counts: HashMap<Label, u32>,
+    pub(crate) context_stack: Vec<Label>,
+    /// Open [`Tracker::scope`] frames, outermost first (§2.4.2
+    /// execution indexing).
+    call_stack: Vec<IndexFrame>,
+    /// Per-depth, per-site occurrence counts; depth `d` counts the
+    /// statements run inside `call_stack[..d]`.
+    counters: Vec<HashMap<Label, u32>>,
+    /// The thread body returned or unwound.
+    pub(crate) exited: bool,
+}
+
+impl ThreadState {
+    /// Counts one more occurrence of `site` at the current call depth.
+    fn bump(&mut self, site: Label) -> u32 {
+        let depth = self.call_stack.len();
+        if self.counters.len() <= depth {
+            self.counters.resize_with(depth + 1, HashMap::new);
+        }
+        let q = self.counters[depth].entry(site).or_insert(0);
+        *q += 1;
+        *q
+    }
 }
 
 #[derive(Default)]
-struct State {
+pub(crate) struct State {
     /// Object table + thread bindings (+ events when `record_events`).
-    trace: Trace,
-    event_seq: u64,
+    pub(crate) trace: Trace,
+    /// Sequence number of the next event — also the watchdog's progress
+    /// measure.
+    pub(crate) event_seq: u64,
     next_thread: u32,
-    threads: HashMap<ThreadId, ThreadState>,
+    pub(crate) threads: HashMap<ThreadId, ThreadState>,
     locks: HashMap<ObjId, Holders>,
-    /// Blocked contended acquires: thread → (awaited lock, site, mode).
-    waits: HashMap<ThreadId, (ObjId, Label, AcquireMode)>,
+    /// Blocked contended acquires, parked condvar waiters and paused
+    /// acquires: thread → (awaited lock, site, mode).
+    pub(crate) waits: HashMap<ThreadId, (ObjId, Label, AcquireMode)>,
     /// Sorted lock sets (held ∪ awaited across the cycle) of deadlocks
     /// already reported, so a persisting deadlock is not re-reported by
     /// every thread that bumps into it.
     reported: HashSet<Vec<ObjId>>,
     sealed: bool,
+    /// Threads spawned through the tracker that have not exited yet.
+    pub(crate) running: usize,
+    /// Number of condvar notifies so far; a polling waiter that sees it
+    /// move returns instead of missing the wakeup.
+    notifies: u64,
+    /// Paused threads, with when they were paused.
+    pub(crate) paused: HashMap<ThreadId, Instant>,
+    /// Set once the run is over: every later acquisition unwinds.
+    pub(crate) aborting: bool,
+    /// What aborted the run, first cause wins.
+    pub(crate) stop: Option<Stop>,
+    /// The first panic message of a tracked thread, other than an abort.
+    pub(crate) program_panic: Option<String>,
 }
 
 /// Shared guts of a [`Tracker`]; lock types hold an `Arc` to this.
 pub struct TrackerInner {
-    state: Mutex<State>,
+    pub(crate) state: Mutex<State>,
     sink: SinkHandle,
-    obs: Obs,
+    pub(crate) obs: Obs,
     handler: DeadlockHandler,
     record_events: bool,
+    /// The Phase II policy, if any — the pre-acquire hook's only branch.
+    pub(crate) policy: Option<Arc<dyn PausePolicy>>,
+    /// Wakes paused threads and a draining [`Tracker::finish`].
+    pub(crate) wake: Condvar,
 }
 
 /// Exclusive (write) or shared (read) acquisition, for the registry.
@@ -178,17 +236,28 @@ impl Default for Tracker {
 }
 
 impl Tracker {
-    /// Creates a tracker with `config`.
+    /// Creates a tracker with `config`. With a pause policy this also
+    /// starts the watchdog thread.
     pub fn new(config: TrackerConfig) -> Self {
-        Tracker {
-            inner: Arc::new(TrackerInner {
-                state: Mutex::new(State::default()),
-                sink: config.sink,
-                obs: config.obs,
-                handler: config.handler,
-                record_events: config.record_events,
-            }),
+        Tracker::started_at(config, Instant::now())
+    }
+
+    /// [`Tracker::new`] with the watchdog's deadline anchored at
+    /// `created`.
+    pub(crate) fn started_at(config: TrackerConfig, created: Instant) -> Self {
+        let inner = Arc::new(TrackerInner {
+            state: Mutex::new(State::default()),
+            sink: config.sink,
+            obs: config.obs,
+            handler: config.handler,
+            record_events: config.record_events,
+            policy: config.pause_policy,
+            wake: Condvar::new(),
+        });
+        if let Some(policy) = &inner.policy {
+            pause::start_watchdog(Arc::downgrade(&inner), policy.timeouts(), created);
         }
+        Tracker { inner }
     }
 
     /// Installs `config` as the process-wide tracker used by
@@ -237,6 +306,68 @@ impl Tracker {
         crate::thread::spawn_impl(&self.inner, name.to_string(), df_events::caller_site(), f)
     }
 
+    /// Enters a method scope at the caller's location for §2.4.2
+    /// execution indexing: objects allocated inside `f` carry the call
+    /// frame in their index, so loop iterations and distinct call paths
+    /// stay distinguishable under the execution-index abstraction.
+    /// Emits `Call` and `Return` around `f`. Outside any scope the index
+    /// is the allocating statement with its per-thread count.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use df_lock::{TrackedMutex, Tracker, TrackerConfig};
+    ///
+    /// let tracker = Tracker::new(TrackerConfig::default());
+    /// let locks: Vec<_> = (0..2)
+    ///     .map(|_| tracker.scope(|| TrackedMutex::with_tracker(&tracker, 0u32)))
+    ///     .collect();
+    /// let objects = tracker.trace();
+    /// let index = |m: &TrackedMutex<u32>| objects.objects().get(m.id()).index.clone();
+    /// assert_eq!(index(&locks[0]).len(), 2); // scope frame + allocation
+    /// assert_ne!(index(&locks[0]), index(&locks[1]));
+    /// ```
+    #[track_caller]
+    pub fn scope<R>(&self, f: impl FnOnce() -> R) -> R {
+        let site = df_events::caller_site();
+        let me = current_thread(&self.inner);
+        {
+            let mut st = self.inner.state.lock();
+            emit(&self.inner, &mut st, me, EventKind::Call { site });
+            let ts = st.threads.get_mut(&me).expect("scoping thread registered");
+            let q = ts.bump(site);
+            ts.call_stack.push(IndexFrame::new(site, q));
+            let depth = ts.call_stack.len();
+            if let Some(inner_counts) = ts.counters.get_mut(depth) {
+                inner_counts.clear();
+            }
+        }
+        let r = f();
+        let mut st = self.inner.state.lock();
+        emit(&self.inner, &mut st, me, EventKind::Return);
+        if let Some(ts) = st.threads.get_mut(&me) {
+            ts.call_stack.pop();
+        }
+        r
+    }
+
+    /// A snapshot of the trace: the object table and thread bindings,
+    /// plus the events when [`TrackerConfig::record_events`] is on.
+    pub fn trace(&self) -> Trace {
+        self.inner.state.lock().trace.clone()
+    }
+
+    /// Ends a run under a pause policy: every later tracked acquisition
+    /// unwinds, the threads spawned through this tracker get up to the
+    /// policy's hang timeout to finish, and the watchdog stops. Returns
+    /// what ended the run early, in precedence order — a witnessed
+    /// deadlock, then a program panic, then the deadline, then the hang
+    /// timeout — or `None` if the program completed. Without a policy
+    /// this does nothing and returns `None`.
+    pub fn finish(&self) -> Option<Stop> {
+        pause::finish(&self.inner)
+    }
+
     pub(crate) fn inner(&self) -> &Arc<TrackerInner> {
         &self.inner
     }
@@ -251,6 +382,17 @@ impl std::fmt::Debug for Tracker {
             .field("sealed", &st.sealed)
             .finish()
     }
+}
+
+/// Locks the registry for an acquisition-side operation. Under an
+/// aborted run the calling thread unwinds instead — dropping any native
+/// guard it just obtained, before the registry records the hold.
+pub(crate) fn live_state(inner: &TrackerInner) -> MutexGuard<'_, State> {
+    let st = inner.state.lock();
+    if st.aborting {
+        pause::unwind(st);
+    }
+    st
 }
 
 /// Assigns the next sequence number and delivers one event.
@@ -268,17 +410,17 @@ fn emit(inner: &TrackerInner, st: &mut State, thread: ThreadId, kind: EventKind)
     }
 }
 
-/// The execution-index frame of an allocation: the allocating statement
-/// with its per-thread occurrence count, which is what the `absI_k`
-/// abstraction of analyzed spills keys on.
+/// The execution index of an allocation: the open scope frames, then
+/// the allocating statement with its occurrence count at that depth —
+/// what the `absI_k` abstraction keys on.
 fn alloc_index(st: &mut State, by: ThreadId, site: Label) -> Vec<IndexFrame> {
-    let counts = match st.threads.get_mut(&by) {
-        Some(ts) => &mut ts.alloc_counts,
-        None => return vec![IndexFrame::new(site, 1)],
+    let Some(ts) = st.threads.get_mut(&by) else {
+        return vec![IndexFrame::new(site, 1)];
     };
-    let q = counts.entry(site).or_insert(0);
-    *q += 1;
-    vec![IndexFrame::new(site, *q)]
+    let q = ts.bump(site);
+    let mut index = ts.call_stack.clone();
+    index.push(IndexFrame::new(site, q));
+    index
 }
 
 /// Registers a thread: assigns an id, creates its thread object, binds
@@ -313,10 +455,13 @@ pub(crate) fn register_thread(
                 name,
                 lock_stack: Vec::new(),
                 context_stack: Vec::new(),
-                alloc_counts: HashMap::new(),
+                call_stack: Vec::new(),
+                counters: Vec::new(),
+                exited: false,
             },
         );
         if let Some(parent) = spawner {
+            st.running += 1;
             emit(
                 inner,
                 &mut st,
@@ -377,15 +522,19 @@ pub(crate) fn register_condvar(inner: &Arc<TrackerInner>, site: Label) -> ObjId 
     obj
 }
 
-/// Records ownership and emits `Acquire`/`Reacquire` for a completed
-/// acquisition. Must be called with the native lock already held.
-fn record_acquire(
+/// Records ownership of a completed acquisition — registry holder
+/// entry, then the held-lock and context stacks — and emits `event`,
+/// built from the held locks and sites *before* this acquisition, or
+/// `Reacquire` for a re-entrant hold. Must be called with the native
+/// lock already held.
+fn record_hold(
     inner: &TrackerInner,
     st: &mut State,
     me: ThreadId,
     lock: ObjId,
     site: Label,
     access: Access,
+    event: impl FnOnce(&[ObjId], &[Label]) -> EventKind,
 ) {
     match access {
         Access::Exclusive => {
@@ -407,21 +556,31 @@ fn record_acquire(
         .get_mut(&me)
         .expect("acquiring thread registered");
     let re_entrant = ts.lock_stack.contains(&lock);
-    let held = ts.lock_stack.clone();
-    let mut context = ts.context_stack.clone();
-    context.push(site);
+    let kind = if re_entrant {
+        EventKind::reacquire(lock, site)
+    } else {
+        event(&ts.lock_stack, &ts.context_stack)
+    };
     ts.lock_stack.push(lock);
     ts.context_stack.push(site);
-    if re_entrant {
-        emit(inner, st, me, EventKind::reacquire(lock, site));
-    } else {
-        emit(
-            inner,
-            st,
-            me,
-            EventKind::acquire(lock, site, held, context).with_mode(access),
-        );
+    emit(inner, st, me, kind);
+    if !re_entrant {
         inner.obs.counters().add_acquires_observed(1);
+    }
+}
+
+/// The `Acquire` event of a blocking acquisition: the held locks and the
+/// context (held sites, then `site`).
+fn acquire_event(
+    lock: ObjId,
+    site: Label,
+    access: Access,
+) -> impl FnOnce(&[ObjId], &[Label]) -> EventKind {
+    move |held, sites| {
+        let mut context = Vec::with_capacity(sites.len() + 1);
+        context.extend_from_slice(sites);
+        context.push(site);
+        EventKind::acquire(lock, site, held.to_vec(), context).with_mode(access)
     }
 }
 
@@ -439,46 +598,27 @@ pub(crate) fn try_acquired(
     acquired: bool,
 ) {
     let me = current_thread(inner);
-    let mut st = inner.state.lock();
-    if !acquired {
+    let mut st = live_state(inner);
+    if acquired {
+        record_hold(inner, &mut st, me, lock, site, access, |_, _| {
+            EventKind::try_acquire(lock, site, true).with_mode(access)
+        });
+    } else {
         emit(
             inner,
             &mut st,
             me,
             EventKind::try_acquire(lock, site, false).with_mode(access),
         );
-        return;
     }
-    match access {
-        Access::Exclusive => {
-            st.locks.insert(lock, Holders::Writer(me));
-        }
-        Access::Shared => match st
-            .locks
-            .entry(lock)
-            .or_insert_with(|| Holders::Readers(vec![]))
-        {
-            Holders::Readers(rs) => rs.push(me),
-            Holders::Writer(_) => {}
-        },
-    }
-    let ts = st
-        .threads
-        .get_mut(&me)
-        .expect("acquiring thread registered");
-    let re_entrant = ts.lock_stack.contains(&lock);
-    ts.lock_stack.push(lock);
-    ts.context_stack.push(site);
-    if re_entrant {
-        emit(inner, &mut st, me, EventKind::reacquire(lock, site));
-    } else {
-        emit(
-            inner,
-            &mut st,
-            me,
-            EventKind::try_acquire(lock, site, true).with_mode(access),
-        );
-        inner.obs.counters().add_acquires_observed(1);
+}
+
+/// The pre-acquire hook, run before every blocking acquisition attempt.
+/// Without a pause policy this is a single branch.
+#[inline]
+pub(crate) fn before_acquire(inner: &Arc<TrackerInner>, lock: ObjId, site: Label, access: Access) {
+    if let Some(policy) = &inner.policy {
+        pause::pause_point(inner, policy.as_ref(), lock, site, access);
     }
 }
 
@@ -490,8 +630,16 @@ pub(crate) fn acquired_uncontended(
     access: Access,
 ) {
     let me = current_thread(inner);
-    let mut st = inner.state.lock();
-    record_acquire(inner, &mut st, me, lock, site, access);
+    let mut st = live_state(inner);
+    record_hold(
+        inner,
+        &mut st,
+        me,
+        lock,
+        site,
+        access,
+        acquire_event(lock, site, access),
+    );
 }
 
 /// Registers the wait edge of a contended acquisition *before* the
@@ -501,25 +649,34 @@ pub(crate) fn acquired_uncontended(
 /// registration happens here, under the registry lock.
 pub(crate) fn begin_wait(inner: &Arc<TrackerInner>, lock: ObjId, site: Label, access: Access) {
     let me = current_thread(inner);
-    let report = {
-        let mut st = inner.state.lock();
-        st.waits.insert(me, (lock, site, access));
-        inner.obs.counters().add_wfg_edges(1);
-        emit(
-            inner,
-            &mut st,
-            me,
-            EventKind::blocked(lock).with_mode(access),
-        );
-        detect(&mut st, me)
+    let mut st = live_state(inner);
+    st.waits.insert(me, (lock, site, access));
+    inner.obs.counters().add_wfg_edges(1);
+    emit(
+        inner,
+        &mut st,
+        me,
+        EventKind::blocked(lock).with_mode(access),
+    );
+    check_wait(inner, st, me);
+}
+
+/// Runs detection from `me` right after it registered a wait edge. Under
+/// a pause policy a cycle aborts the run and unwinds `me` instead of
+/// letting it park. Otherwise the handler is dispatched after the
+/// registry lock is dropped, so a SealAndExit (which seals sinks) or a
+/// callback cannot deadlock against other program threads touching the
+/// tracker.
+fn check_wait(inner: &Arc<TrackerInner>, mut st: MutexGuard<'_, State>, me: ThreadId) {
+    let Some((witness, rendered)) = detect(&mut st, me, Detector::WaitForGraph) else {
+        return;
     };
-    // Handler dispatch happens after the registry lock is dropped so a
-    // SealAndExit (which seals sinks) or a callback cannot deadlock
-    // against other program threads touching the tracker.
-    if let Some((witness, rendered)) = report {
-        inner.obs.counters().add_wfg_cycles_detected(1);
-        dispatch(inner, &witness, &rendered);
+    inner.obs.counters().add_wfg_cycles_detected(1);
+    if inner.policy.is_some() {
+        pause::abort_on_deadlock(inner, st, witness);
     }
+    drop(st);
+    dispatch(inner, &witness, &rendered);
 }
 
 /// The blocked acquisition of `lock` succeeded: clears the wait edge,
@@ -531,10 +688,18 @@ pub(crate) fn acquired_contended(
     access: Access,
 ) {
     let me = current_thread(inner);
-    let mut st = inner.state.lock();
+    let mut st = live_state(inner);
     st.waits.remove(&me);
     emit(inner, &mut st, me, EventKind::unblocked(lock));
-    record_acquire(inner, &mut st, me, lock, site, access);
+    record_hold(
+        inner,
+        &mut st,
+        me,
+        lock,
+        site,
+        access,
+        acquire_event(lock, site, access),
+    );
 }
 
 /// A timed acquisition gave up: clears the wait edge and counts the
@@ -599,32 +764,46 @@ pub(crate) fn release(inner: &Arc<TrackerInner>, lock: ObjId, site: Label) {
 /// one notify away from blocking on the lock, so cycles running through
 /// it are real deadlocks and must be visible to other threads'
 /// detection passes.
-pub(crate) fn cond_wait_begin(inner: &Arc<TrackerInner>, condvar: ObjId, lock: ObjId, site: Label) {
+///
+/// Returns the notify count seen before parking, for
+/// [`cond_wait_poll`].
+pub(crate) fn cond_wait_begin(
+    inner: &Arc<TrackerInner>,
+    condvar: ObjId,
+    lock: ObjId,
+    site: Label,
+) -> u64 {
     let me = current_thread(inner);
-    let report = {
-        let mut st = inner.state.lock();
-        if matches!(st.locks.get(&lock), Some(Holders::Writer(t)) if *t == me) {
-            st.locks.remove(&lock);
-        }
-        let ts = st.threads.get_mut(&me).expect("waiting thread registered");
-        if let Some(pos) = ts.lock_stack.iter().rposition(|&l| l == lock) {
-            ts.lock_stack.remove(pos);
-            ts.context_stack.remove(pos);
-        }
-        emit(
-            inner,
-            &mut st,
-            me,
-            EventKind::cond_wait(condvar, lock, site),
-        );
-        st.waits.insert(me, (lock, site, Access::Exclusive));
-        inner.obs.counters().add_wfg_edges(1);
-        detect(&mut st, me)
-    };
-    if let Some((witness, rendered)) = report {
-        inner.obs.counters().add_wfg_cycles_detected(1);
-        dispatch(inner, &witness, &rendered);
+    let mut st = live_state(inner);
+    if matches!(st.locks.get(&lock), Some(Holders::Writer(t)) if *t == me) {
+        st.locks.remove(&lock);
     }
+    let ts = st.threads.get_mut(&me).expect("waiting thread registered");
+    if let Some(pos) = ts.lock_stack.iter().rposition(|&l| l == lock) {
+        ts.lock_stack.remove(pos);
+        ts.context_stack.remove(pos);
+    }
+    emit(
+        inner,
+        &mut st,
+        me,
+        EventKind::cond_wait(condvar, lock, site),
+    );
+    st.waits.insert(me, (lock, site, Access::Exclusive));
+    inner.obs.counters().add_wfg_edges(1);
+    let notifies = st.notifies;
+    check_wait(inner, st, me);
+    notifies
+}
+
+/// Under a pause policy a condvar wait parks in bounded slices so an
+/// aborted run can unwind it; after a slice times out this decides
+/// whether the wait is over. It unwinds if the run aborted, and returns
+/// `true` if some notify happened since `notifies` (the waiter returns,
+/// possibly spuriously) or `false` to park again.
+pub(crate) fn cond_wait_poll(inner: &Arc<TrackerInner>, notifies: u64) -> bool {
+    let st = live_state(inner);
+    st.notifies != notifies
 }
 
 /// The reacquire half of a condvar wait, run after the native wait
@@ -634,7 +813,7 @@ pub(crate) fn cond_wait_begin(inner: &Arc<TrackerInner>, condvar: ObjId, lock: O
 /// reacquisition emits nothing.
 pub(crate) fn cond_wait_end(inner: &Arc<TrackerInner>, lock: ObjId, site: Label) {
     let me = current_thread(inner);
-    let mut st = inner.state.lock();
+    let mut st = live_state(inner);
     st.waits.remove(&me);
     st.locks.insert(lock, Holders::Writer(me));
     let ts = st.threads.get_mut(&me).expect("waiting thread registered");
@@ -647,6 +826,7 @@ pub(crate) fn cond_wait_end(inner: &Arc<TrackerInner>, lock: ObjId, site: Label)
 pub(crate) fn cond_notify(inner: &Arc<TrackerInner>, condvar: ObjId, site: Label, all: bool) {
     let me = current_thread(inner);
     let mut st = inner.state.lock();
+    st.notifies += 1;
     emit(
         inner,
         &mut st,
@@ -666,11 +846,26 @@ pub(crate) fn thread_started(inner: &Arc<TrackerInner>, id: ThreadId) {
     emit(inner, &mut st, id, EventKind::ThreadStart);
 }
 
-/// Emits `ThreadExit`; runs from a drop guard so it fires even when the
-/// thread body panicked.
-pub(crate) fn thread_exited(inner: &Arc<TrackerInner>, id: ThreadId) {
+/// Emits `ThreadExit` once the thread body returned or unwound, and
+/// remembers the first genuine program panic (not an abort unwind) for
+/// [`Tracker::finish`].
+pub(crate) fn thread_exited(
+    inner: &Arc<TrackerInner>,
+    id: ThreadId,
+    panic: Option<&(dyn std::any::Any + Send)>,
+) {
     let mut st = inner.state.lock();
+    if let Some(payload) = panic {
+        if !pause::is_abort(payload) && st.program_panic.is_none() {
+            st.program_panic = Some(pause::panic_message(payload));
+        }
+    }
+    if let Some(ts) = st.threads.get_mut(&id) {
+        ts.exited = true;
+    }
+    st.running -= 1;
     emit(inner, &mut st, id, EventKind::ThreadExit);
+    inner.wake.notify_all();
 }
 
 /// Emits `Join` after a tracked join completes.
@@ -682,7 +877,11 @@ pub(crate) fn thread_joined(inner: &Arc<TrackerInner>, joiner: ThreadId, target:
 /// Walks the wait-for graph from `me`; on a new cycle builds the
 /// witness and its rendered report (both under the registry lock, so
 /// the snapshot is consistent), for dispatch after unlock.
-fn detect(st: &mut State, me: ThreadId) -> Option<(DeadlockWitness, String)> {
+pub(crate) fn detect(
+    st: &mut State,
+    me: ThreadId,
+    detected_by: Detector,
+) -> Option<(DeadlockWitness, String)> {
     let mut g = WfGraph::new();
     for (&lock, holders) in &st.locks {
         match holders {
@@ -754,7 +953,7 @@ fn detect(st: &mut State, me: ThreadId) -> Option<(DeadlockWitness, String)> {
         .collect();
     let witness = DeadlockWitness {
         components,
-        detected_by: Detector::WaitForGraph,
+        detected_by,
     };
     let rendered = render_report(&witness, st.trace.objects());
     Some((witness, rendered))
@@ -762,7 +961,7 @@ fn detect(st: &mut State, me: ThreadId) -> Option<(DeadlockWitness, String)> {
 
 /// Names a lock by id and allocation site, e.g.
 /// `o5 (allocated at examples/native_deadlock.rs:31:37)`.
-fn lock_name(objects: &ObjectTable, id: ObjId) -> String {
+pub(crate) fn lock_name(objects: &ObjectTable, id: ObjId) -> String {
     match objects.try_get(id) {
         Some(meta) => format!("{id} (allocated at {})", meta.site),
         None => id.to_string(),

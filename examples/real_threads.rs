@@ -1,7 +1,8 @@
-//! DeadlockFuzzer on **real OS threads**, via the `df-realthread`
-//! instrumented lock wrappers (`std::sync::Mutex` cannot be intercepted,
-//! so programs use `DfMutex` — the Rust analogue of the paper's bytecode
-//! instrumentation).
+//! DeadlockFuzzer on **real OS threads**, via `df-lock`'s tracked locks
+//! (`std::sync::Mutex` cannot be intercepted, so programs use
+//! `TrackedMutex` — the Rust analogue of the paper's bytecode
+//! instrumentation). Phase I records one run; Phase II steers fresh runs
+//! into the predicted deadlock through the tracker's pre-acquire hook.
 //!
 //! ```text
 //! cargo run --example real_threads
@@ -9,41 +10,41 @@
 
 use std::sync::Arc;
 
+use deadlock_fuzzer::session::{analyze, fuzz, FuzzConfig, FuzzOutcome};
 use df_abstraction::AbstractionMode;
-use df_events::site;
 use df_igoodlock::IGoodlockOptions;
-use df_realthread::{DfMutex, FuzzConfig, FuzzOutcome, Session};
+use df_lock::{TrackedMutex, Tracker, TrackerConfig};
 
 /// The Figure 1 program: t1 sleeps first (so plain runs don't deadlock),
 /// then the two threads take the two accounts in opposite orders.
-fn transfer_program(session: &Session) {
-    let checking = Arc::new(DfMutex::new(session, 100i64, site!("open checking")));
-    let savings = Arc::new(DfMutex::new(session, 500i64, site!("open savings")));
+fn transfer_program(tracker: &Tracker) {
+    let checking = Arc::new(TrackedMutex::with_tracker(tracker, 100i64));
+    let savings = Arc::new(TrackedMutex::with_tracker(tracker, 500i64));
 
     let (c1, s1) = (Arc::clone(&checking), Arc::clone(&savings));
-    let t1 = session.spawn(site!("spawn transfer c->s"), "c-to-s", move || {
+    let t1 = tracker.spawn("c-to-s", move || {
         std::thread::sleep(std::time::Duration::from_millis(25)); // statement batch
-        let mut from = c1.lock(site!("lock checking (c->s)"));
-        let mut to = s1.lock(site!("lock savings (c->s)"));
+        let mut from = c1.lock().unwrap();
+        let mut to = s1.lock().unwrap();
         *from -= 10;
         *to += 10;
     });
     let (c2, s2) = (Arc::clone(&checking), Arc::clone(&savings));
-    let t2 = session.spawn(site!("spawn transfer s->c"), "s-to-c", move || {
-        let mut from = s2.lock(site!("lock savings (s->c)"));
-        let mut to = c2.lock(site!("lock checking (s->c)"));
+    let t2 = tracker.spawn("s-to-c", move || {
+        let mut from = s2.lock().unwrap();
+        let mut to = c2.lock().unwrap();
         *from -= 25;
         *to += 25;
     });
-    t1.join();
-    t2.join();
+    t1.join().unwrap();
+    t2.join().unwrap();
 }
 
 fn main() {
     // Phase I: record a normal run.
-    let record = Session::record();
+    let record = Tracker::new(TrackerConfig::default().with_record_events(true));
     transfer_program(&record);
-    let report = record.analyze(&IGoodlockOptions::default());
+    let report = analyze(&record, &IGoodlockOptions::default());
     println!(
         "Phase I observed {} nested acquisitions; iGoodlock reports {} potential cycle(s):",
         report.relation_size,
@@ -58,9 +59,8 @@ fn main() {
     let mut created = 0;
     let trials = 5;
     for seed in 0..trials {
-        let session = Session::fuzz(FuzzConfig::new(cycles[0].clone()).with_seed(seed));
-        transfer_program(&session);
-        match session.finish() {
+        let config = FuzzConfig::new(cycles[0].clone()).with_seed(seed);
+        match fuzz(config, transfer_program) {
             FuzzOutcome::Deadlock(w) => {
                 created += 1;
                 if seed == 0 {
