@@ -120,6 +120,18 @@ pub struct ActiveStrategy {
     yielded: HashMap<(ThreadId, Label), u32>,
     stats: StrategyStats,
     monitor_releases: u64,
+    /// Buffers reused by every [`Strategy::pick`], so a scheduling decision
+    /// allocates nothing once they have grown.
+    scratch: PickScratch,
+}
+
+/// Per-decision working sets of [`ActiveStrategy::pick`].
+#[derive(Debug, Default)]
+struct PickScratch {
+    /// Threads the §4 yield gate deferred within this decision.
+    deferred: Vec<ThreadId>,
+    /// The threads one draw of the decision chooses among.
+    choices: Vec<ThreadId>,
 }
 
 impl ActiveStrategy {
@@ -136,6 +148,7 @@ impl ActiveStrategy {
             yielded: HashMap::new(),
             stats: StrategyStats::default(),
             monitor_releases: 0,
+            scratch: PickScratch::default(),
         }
     }
 
@@ -192,10 +205,14 @@ impl ActiveStrategy {
         }
         expired
     }
-}
 
-impl Strategy for ActiveStrategy {
-    fn pick(&mut self, view: &StateView<'_>, enabled: &[ThreadId]) -> Directive {
+    /// Algorithm 3's decision, drawing on buffers owned by the strategy.
+    fn pick_with(
+        &mut self,
+        view: &StateView<'_>,
+        enabled: &[ThreadId],
+        scratch: &mut PickScratch,
+    ) -> Directive {
         self.stats.picks += 1;
         for t in self.run_monitor() {
             if self.config.obs.traces() {
@@ -208,42 +225,42 @@ impl Strategy for ActiveStrategy {
         }
         // Per-call yield memory: a thread deferred by the §4 gate is only
         // skipped within this decision, not paused.
-        let mut deferred: HashSet<ThreadId> = HashSet::new();
+        let PickScratch { deferred, choices } = scratch;
+        deferred.clear();
         loop {
-            let candidates: Vec<ThreadId> = enabled
-                .iter()
-                .copied()
-                .filter(|t| !self.paused.contains_key(t) && !deferred.contains(t))
-                .collect();
-            if candidates.is_empty() {
+            // Candidates, in `enabled` order.
+            choices.clear();
+            choices.extend(
+                enabled
+                    .iter()
+                    .copied()
+                    .filter(|t| !self.paused.contains_key(t) && !deferred.contains(t)),
+            );
+            if choices.is_empty() {
                 if !deferred.is_empty() {
                     // Only deferred threads remain: run one of them (the
                     // yield gave others their chance already).
-                    let ds: Vec<ThreadId> = enabled
-                        .iter()
-                        .copied()
-                        .filter(|t| deferred.contains(t))
-                        .collect();
-                    let t = ds[self.rng.gen_range(0..ds.len())];
+                    choices.extend(enabled.iter().copied().filter(|t| deferred.contains(t)));
+                    let t = choices[self.rng.gen_range(0..choices.len())];
                     return Directive::Run(t);
                 }
                 // Thrashing (§2.3): every enabled thread is paused; remove
                 // a random one from Paused. It will run through its pause
                 // point.
-                let mut paused: Vec<ThreadId> = self
-                    .paused
-                    .keys()
-                    .copied()
-                    .filter(|t| enabled.contains(t))
-                    .collect();
-                paused.sort();
-                if paused.is_empty() {
+                choices.extend(
+                    enabled
+                        .iter()
+                        .copied()
+                        .filter(|t| self.paused.contains_key(t)),
+                );
+                choices.sort_unstable();
+                if choices.is_empty() {
                     // Defensive: enabled threads exist but none is paused,
                     // deferred, or pickable — cannot happen, but never
                     // wedge the runtime.
                     return Directive::Run(enabled[0]);
                 }
-                let victim = paused[self.rng.gen_range(0..paused.len())];
+                let victim = choices[self.rng.gen_range(0..choices.len())];
                 self.paused.remove(&victim);
                 self.released.insert(victim);
                 self.stats.thrashes += 1;
@@ -256,7 +273,7 @@ impl Strategy for ActiveStrategy {
                 }
                 continue;
             }
-            let t_id = candidates[self.rng.gen_range(0..candidates.len())];
+            let t_id = choices[self.rng.gen_range(0..choices.len())];
             let t = view.thread(t_id);
             let (lock, site, mode) = match t.pending {
                 Some(PendingOp::Acquire { lock, site, mode }) => (*lock, *site, *mode),
@@ -299,7 +316,7 @@ impl Strategy for ActiveStrategy {
                                 site: site.to_string(),
                             });
                         }
-                        deferred.insert(t_id);
+                        deferred.push(t_id);
                         continue;
                     }
                 }
@@ -322,6 +339,15 @@ impl Strategy for ActiveStrategy {
             }
             return Directive::Run(t_id);
         }
+    }
+}
+
+impl Strategy for ActiveStrategy {
+    fn pick(&mut self, view: &StateView<'_>, enabled: &[ThreadId]) -> Directive {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let directive = self.pick_with(view, enabled, &mut scratch);
+        self.scratch = scratch;
+        directive
     }
 
     fn on_event(&mut self, event: &Event, _view: &StateView<'_>) {

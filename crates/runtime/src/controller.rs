@@ -3,11 +3,11 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use df_events::{AcquireMode, EventKind, Label, ObjId, ObjKind, ThreadId};
 use parking_lot::{Condvar, Mutex};
 
+use crate::carrier::{self, Latch};
 use crate::config::RunConfig;
 use crate::ctx::TCtx;
 use crate::fault::{FaultState, InjectedFault};
@@ -39,15 +39,49 @@ pub(crate) enum OpOutcome {
 pub(crate) struct Inner {
     pub(crate) g: Global,
     pub(crate) strategy: Option<Box<dyn Strategy>>,
-    pub(crate) handles: Vec<JoinHandle<()>>,
+    /// One parker per virtual thread, indexed by `ThreadId`. Grown only by
+    /// [`Inner::push_thread`].
+    parkers: Vec<Parker>,
+    /// The enabled set of the current schedule point, kept to reuse its
+    /// allocation.
+    enabled: Vec<ThreadId>,
     /// Set when the run has fully terminated (normally or by abort).
     pub(crate) done: bool,
+    /// Wakeups of a parked thread that found the token elsewhere while the
+    /// run was still going: always zero when handoffs wake only the picked
+    /// thread.
+    #[cfg(test)]
+    pub(crate) futile_wakeups: u64,
+}
+
+impl Inner {
+    /// Registers a virtual thread together with its parker.
+    pub(crate) fn push_thread(&mut self, ts: ThreadState) {
+        debug_assert_eq!(ts.id.as_usize(), self.g.threads.len(), "ids are dense");
+        self.g.threads.push(ts);
+        self.parkers.push(Parker::default());
+    }
+}
+
+/// Where a virtual thread waits for the token: a condvar of its own, so a
+/// handoff wakes exactly the picked thread.
+#[derive(Default)]
+struct Parker {
+    cv: Arc<Condvar>,
+    /// Whether the thread sleeps on `cv`. A thread that is not parked
+    /// checks `current` under the mutex before it waits, so it needs no
+    /// signal (picking the running thread itself costs no wakeup).
+    parked: bool,
 }
 
 /// Shared controller for one run.
 pub(crate) struct Controller {
     pub(crate) inner: Mutex<Inner>,
-    pub(crate) cond: Condvar,
+    /// The supervisor's own condvar (see `VirtualRuntime::run`), signalled
+    /// only when the run ends.
+    pub(crate) supervisor: Condvar,
+    /// Outstanding carrier jobs of this run; replaces joining OS threads.
+    pub(crate) latch: Arc<Latch>,
     pub(crate) config: RunConfig,
 }
 
@@ -81,10 +115,14 @@ impl Controller {
             inner: Mutex::new(Inner {
                 g,
                 strategy: Some(strategy),
-                handles: Vec::new(),
+                parkers: Vec::new(),
+                enabled: Vec::new(),
                 done: false,
+                #[cfg(test)]
+                futile_wakeups: 0,
             }),
-            cond: Condvar::new(),
+            supervisor: Condvar::new(),
+            latch: Arc::default(),
             config,
         })
     }
@@ -115,42 +153,58 @@ impl Controller {
         }
     }
 
-    /// Ends the run with `outcome` (first writer wins) and wakes everyone.
-    fn abort(&self, inner: &mut Inner, outcome: Outcome) {
+    /// Ends the run with `outcome` (first writer wins) and wakes everyone:
+    /// every parked thread, to unwind, and the supervisor.
+    pub(crate) fn abort(&self, inner: &mut Inner, outcome: Outcome) {
         if inner.g.final_outcome.is_none() {
             inner.g.final_outcome = Some(outcome);
         }
         inner.g.aborting = true;
         inner.done = true;
-        self.cond.notify_all();
+        for parker in &inner.parkers {
+            parker.cv.notify_one();
+        }
+        self.supervisor.notify_one();
+    }
+
+    /// Runs virtual thread `me` on a carrier OS thread.
+    pub(crate) fn launch<F>(self: &Arc<Self>, me: ThreadId, f: F)
+    where
+        F: FnOnce(&TCtx) + Send + 'static,
+    {
+        let ctl = Arc::clone(self);
+        carrier::launch(&self.latch, Box::new(move || ctl.thread_main(me, f)));
     }
 
     /// Picks the next thread to run. Called whenever the token is free
-    /// (`current == None`). On success `current` is set and sleepers are
-    /// woken. Returns `Err(Aborted)` if the run ended instead.
+    /// (`current == None`). On success `current` is set and the picked
+    /// thread — only it — is woken. Returns `Err(Aborted)` if the run
+    /// ended instead.
     fn reschedule(&self, inner: &mut Inner) -> Result<(), Aborted> {
         if inner.g.aborting {
             return Err(Aborted);
         }
         self.inject_spurious_wakeup(inner);
-        let enabled = inner.g.enabled();
-        if enabled.is_empty() {
-            let alive = inner.g.alive();
-            if alive.is_empty() {
-                self.abort(inner, Outcome::Completed);
-            } else {
-                let outcome = self.diagnose_stall(&inner.g, alive);
+        inner.g.enabled_into(&mut inner.enabled);
+        if inner.enabled.is_empty() {
+            if inner.g.threads.iter().any(ThreadState::is_alive) {
+                let outcome = self.diagnose_stall(&inner.g, inner.g.alive());
                 self.abort(inner, outcome);
+            } else {
+                self.abort(inner, Outcome::Completed);
             }
             return Err(Aborted);
         }
         let mut strat = inner.strategy.take().expect("strategy present");
-        let directive = strat.pick(&StateView { g: &inner.g }, &enabled);
+        let directive = strat.pick(&StateView { g: &inner.g }, &inner.enabled);
         inner.strategy = Some(strat);
         match directive {
-            Directive::Run(t) if enabled.contains(&t) => {
+            Directive::Run(t) if inner.enabled.contains(&t) => {
                 inner.g.current = Some(t);
-                self.cond.notify_all();
+                let parker = &inner.parkers[t.as_usize()];
+                if parker.parked {
+                    parker.cv.notify_one();
+                }
                 Ok(())
             }
             Directive::Run(t) => {
@@ -368,20 +422,27 @@ impl Controller {
         self.wait_until_picked(inner, me)
     }
 
-    /// Blocks until the strategy makes `me` current, then marks it running.
+    /// Blocks on `me`'s own parker until the strategy makes `me` current,
+    /// then marks it running.
     fn wait_until_picked(
         &self,
         inner: &mut parking_lot::MutexGuard<'_, Inner>,
         me: ThreadId,
     ) -> Result<(), Aborted> {
-        loop {
-            if inner.g.aborting {
-                return Err(Aborted);
+        if !inner.g.aborting && inner.g.current != Some(me) {
+            let cv = Arc::clone(&inner.parkers[me.as_usize()].cv);
+            while !inner.g.aborting && inner.g.current != Some(me) {
+                inner.parkers[me.as_usize()].parked = true;
+                cv.wait(inner);
+                inner.parkers[me.as_usize()].parked = false;
+                #[cfg(test)]
+                if !inner.g.aborting && inner.g.current != Some(me) {
+                    inner.futile_wakeups += 1;
+                }
             }
-            if inner.g.current == Some(me) {
-                break;
-            }
-            self.cond.wait(inner);
+        }
+        if inner.g.aborting {
+            return Err(Aborted);
         }
         inner.g.thread_mut(me).status = ThreadStatus::Running;
         Ok(())
@@ -771,7 +832,7 @@ impl Controller {
     }
 
     /// Spawn entry point: registers the child under the schedule point of
-    /// the parent and launches its OS thread.
+    /// the parent and hands it to a carrier OS thread.
     pub(crate) fn spawn<F>(
         self: &Arc<Self>,
         me: ThreadId,
@@ -799,10 +860,7 @@ impl Controller {
             Some(name.clone()),
         );
         let child = ThreadId::new(u32::try_from(inner.g.threads.len()).expect("thread overflow"));
-        inner
-            .g
-            .threads
-            .push(ThreadState::new(child, name, child_obj));
+        inner.push_thread(ThreadState::new(child, name, child_obj));
         inner.g.trace.bind_thread(child, child_obj);
         self.config.sink.thread_bound(child, child_obj);
         // Account the child's start schedule point now, while we hold the
@@ -812,14 +870,9 @@ impl Controller {
         inner.g.progress += 1;
         self.record(&mut inner, me, EventKind::Spawn { child, child_obj });
         // The child is now Announced(Start); the strategy may pick it at
-        // any later schedule point. Launch the OS thread that will carry
-        // it.
-        let ctl = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(format!("vthread-{child}"))
-            .spawn(move || ctl.thread_main(child, f))
-            .expect("failed to spawn OS thread");
-        inner.handles.push(handle);
+        // any later schedule point. Hand it to the OS thread that will
+        // carry it.
+        self.launch(child, f);
         // Fault injection: a program spawn may fan out one extra busy
         // thread the program never asked for (bounded by the plan's cap).
         if inner
@@ -854,31 +907,21 @@ impl Controller {
             Some(name.clone()),
         );
         let child = ThreadId::new(u32::try_from(inner.g.threads.len()).expect("thread overflow"));
-        inner
-            .g
-            .threads
-            .push(ThreadState::new(child, name, child_obj));
+        inner.push_thread(ThreadState::new(child, name, child_obj));
         inner.g.trace.bind_thread(child, child_obj);
         self.config.sink.thread_bound(child, child_obj);
         inner.g.steps += 1;
         inner.g.progress += 1;
         self.record(inner, parent, EventKind::Spawn { child, child_obj });
-        let ctl = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(format!("vthread-{child}"))
-            .spawn(move || {
-                ctl.thread_main(child, |ctx: &TCtx| {
-                    for _ in 0..16 {
-                        ctx.yield_now();
-                    }
-                })
-            })
-            .expect("failed to spawn OS thread");
-        inner.handles.push(handle);
+        self.launch(child, |ctx: &TCtx| {
+            for _ in 0..16 {
+                ctx.yield_now();
+            }
+        });
     }
 
-    /// Body of every virtual thread's OS thread.
-    pub(crate) fn thread_main<F>(self: Arc<Self>, me: ThreadId, f: F)
+    /// Body of every virtual thread's carrier job.
+    fn thread_main<F>(self: Arc<Self>, me: ThreadId, f: F)
     where
         F: FnOnce(&TCtx),
     {
@@ -909,7 +952,8 @@ impl Controller {
         self.thread_exit(me);
     }
 
-    /// Marks `me` finished and hands the token onward.
+    /// Marks `me` finished and hands the token onward (which wakes the
+    /// next thread, or everyone if the run ends here).
     fn thread_exit(&self, me: ThreadId) {
         let mut inner = self.inner.lock();
         if !matches!(inner.g.thread(me).status, ThreadStatus::Finished) {
@@ -923,6 +967,5 @@ impl Controller {
         if !inner.g.aborting {
             let _ = self.reschedule(&mut inner);
         }
-        self.cond.notify_all();
     }
 }

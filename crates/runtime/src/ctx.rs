@@ -133,6 +133,11 @@ impl TCtx {
     /// shuffles, …) must branch on this value instead of ambient state
     /// (statics, wall clock, OS scheduling), so a (program, seed) pair
     /// always replays the same execution tree. Not a schedule point.
+    ///
+    /// Nor is the OS thread per-virtual-thread state: virtual threads run
+    /// on pooled OS threads reused across runs, so thread-locals may hold
+    /// values from earlier virtual threads, and `std::thread::current()`
+    /// names the pooled thread, not this one.
     pub fn run_seed(&self) -> u64 {
         self.ctl.config.program_seed
     }

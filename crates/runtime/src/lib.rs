@@ -43,6 +43,7 @@
 
 #![deny(missing_docs)]
 
+mod carrier;
 mod config;
 mod controller;
 mod ctx;

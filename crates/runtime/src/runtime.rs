@@ -1,6 +1,5 @@
 //! Entry point: running a program under a strategy.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use df_events::{Label, ObjKind, ThreadId, Trace};
@@ -66,27 +65,21 @@ impl VirtualRuntime {
                 Vec::new(),
                 Some("main".to_string()),
             );
-            inner
-                .g
-                .threads
-                .push(ThreadState::new(main_id, "main".to_string(), main_obj));
+            inner.push_thread(ThreadState::new(main_id, "main".to_string(), main_obj));
             inner.g.trace.bind_thread(main_id, main_obj);
             self.config.sink.thread_bound(main_id, main_obj);
             // The main thread's start schedule point, accounted here so
             // step numbering never depends on OS thread-startup timing.
             inner.g.steps += 1;
             inner.g.progress += 1;
-            let c2 = Arc::clone(&ctl);
-            let handle = std::thread::Builder::new()
-                .name("vthread-main".to_string())
-                .spawn(move || c2.thread_main(main_id, main))
-                .expect("failed to spawn main OS thread");
-            inner.handles.push(handle);
+            ctl.launch(main_id, main);
         }
 
         // Supervise: wait for completion, watching for hangs (program code
         // spinning without schedule points) and the hard wall-clock
-        // deadline (which fires even while progress is steady).
+        // deadline (which fires even while progress is steady). The
+        // supervisor sleeps on its own condvar, which only the end of the
+        // run signals, so schedule-point handoffs never wake it.
         let started = Instant::now();
         let mut last_progress = 0u64;
         let mut last_change = Instant::now();
@@ -104,16 +97,12 @@ impl VirtualRuntime {
                 last_progress = inner.g.progress;
                 last_change = Instant::now();
             } else if deadline_hit || last_change.elapsed() >= self.config.hang_timeout {
-                inner.g.aborting = true;
-                inner.done = true;
-                if inner.g.final_outcome.is_none() {
-                    inner.g.final_outcome = Some(if deadline_hit {
-                        Outcome::DeadlineExceeded
-                    } else {
-                        Outcome::Hang
-                    });
-                }
-                ctl.cond.notify_all();
+                let outcome = if deadline_hit {
+                    Outcome::DeadlineExceeded
+                } else {
+                    Outcome::Hang
+                };
+                ctl.abort(&mut inner, outcome);
                 break true;
             }
             let mut wait = self
@@ -126,25 +115,25 @@ impl VirtualRuntime {
                 let remaining = d.saturating_sub(started.elapsed());
                 wait = wait.min(remaining.max(std::time::Duration::from_millis(1)));
             }
-            ctl.cond.wait_for(&mut inner, wait);
+            ctl.supervisor.wait_for(&mut inner, wait);
         };
 
-        // Collect results. On a hang we cannot join threads stuck in user
-        // code; detach them instead.
-        let (outcome, trace, steps, mut strategy, handles, faults) = {
+        // Collect results. On a hang we cannot wait for carriers stuck in
+        // user code; they are detached, and rejoin the pool only if that
+        // code ever returns.
+        let (outcome, trace, steps, mut strategy, faults) = {
             let mut inner = ctl.inner.lock();
             let outcome = inner.g.final_outcome.take().unwrap_or(Outcome::Completed);
             let trace = std::mem::replace(&mut inner.g.trace, Trace::new());
             let steps = inner.g.steps;
             let strategy = inner.strategy.take().expect("strategy present at end");
-            let handles = std::mem::take(&mut inner.handles);
             let faults = inner.g.fault_log();
-            (outcome, trace, steps, strategy, handles, faults)
+            #[cfg(test)]
+            tests::FUTILE_WAKEUPS.with(|c| c.set(inner.futile_wakeups));
+            (outcome, trace, steps, strategy, faults)
         };
         if !hung {
-            for h in handles {
-                let _ = h.join();
-            }
+            ctl.latch.wait();
         }
         let stats = strategy.finish();
         // Roll the run's scheduling statistics and fault log into the
@@ -174,9 +163,19 @@ impl VirtualRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{FifoStrategy, RoundRobinStrategy};
+    use crate::strategy::{Directive, FifoStrategy, RoundRobinStrategy, StrategyStats};
+    use crate::view::StateView;
     use df_events::{site, EventKind};
+    use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
     use std::time::Duration;
+
+    thread_local! {
+        /// Futile wakeups of the last run supervised by this test thread.
+        pub(super) static FUTILE_WAKEUPS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn cfg() -> RunConfig {
         RunConfig::default().with_hang_timeout(Duration::from_secs(5))
@@ -872,5 +871,181 @@ mod tests {
         let snap = obs.counters().snapshot();
         assert_eq!(snap.peak_trace_bytes, 0);
         assert_eq!(snap.events_streamed, recorded.trace.events().len() as u64);
+    }
+
+    /// The pick rule of df-fuzzer's `SimpleRandomChecker` (a uniformly
+    /// random enabled thread from a seeded ChaCha8), which cannot be used
+    /// here because df-fuzzer depends on this crate.
+    struct UniformRandom(rand_chacha::ChaCha8Rng);
+
+    impl Strategy for UniformRandom {
+        fn pick(&mut self, _view: &StateView<'_>, enabled: &[ThreadId]) -> Directive {
+            Directive::Run(enabled[self.0.gen_range(0..enabled.len())])
+        }
+
+        fn finish(&mut self) -> StrategyStats {
+            StrategyStats::default()
+        }
+    }
+
+    /// Main plus 15 workers, every one yielding repeatedly.
+    fn sixteen_yielders(ctx: &TCtx) {
+        let workers: Vec<_> = (0..15)
+            .map(|i| {
+                ctx.spawn(site!("spawn yielder"), &format!("y{i}"), |ctx| {
+                    for _ in 0..20 {
+                        ctx.yield_now();
+                    }
+                })
+            })
+            .collect();
+        for _ in 0..20 {
+            ctx.yield_now();
+        }
+        for w in &workers {
+            ctx.join(w, site!());
+        }
+    }
+
+    #[test]
+    fn handoff_wakes_only_the_picked_thread() {
+        let strategies: Vec<(&str, Box<dyn Strategy>)> = vec![
+            ("round robin", Box::new(RoundRobinStrategy::new())),
+            (
+                "uniform random",
+                Box::new(UniformRandom(rand_chacha::ChaCha8Rng::seed_from_u64(3))),
+            ),
+        ];
+        for (name, strategy) in strategies {
+            FUTILE_WAKEUPS.with(|c| c.set(u64::MAX));
+            let r = VirtualRuntime::new(cfg()).run(strategy, sixteen_yielders);
+            assert!(r.outcome.is_completed(), "{name}: {:?}", r.outcome);
+            assert!(r.steps > 16 * 20, "{name}: {} steps", r.steps);
+            assert_eq!(FUTILE_WAKEUPS.with(Cell::get), 0, "{name}");
+        }
+    }
+
+    /// Runs `disrupt` between two runs of the same deterministic program
+    /// and checks the second run is unaffected by whatever the disrupting
+    /// run left in the carrier pool.
+    fn pool_survives(disrupt: impl FnOnce()) {
+        let reference =
+            VirtualRuntime::new(cfg()).run(Box::new(RoundRobinStrategy::new()), spawning_program);
+        assert!(reference.outcome.is_completed());
+        disrupt();
+        let after =
+            VirtualRuntime::new(cfg()).run(Box::new(RoundRobinStrategy::new()), spawning_program);
+        assert!(after.outcome.is_completed(), "{:?}", after.outcome);
+        assert_eq!(after.steps, reference.steps);
+        assert_eq!(after.trace.events(), reference.trace.events());
+    }
+
+    #[test]
+    fn pool_survives_a_hang() {
+        // The stuck carrier spins until released, after the follow-up run:
+        // a hung run must not wait for it, and its late return to the
+        // pool must not disturb anyone.
+        let release = Arc::new(AtomicBool::new(false));
+        let spin = Arc::clone(&release);
+        pool_survives(|| {
+            let cfg = RunConfig::default().with_hang_timeout(Duration::from_millis(100));
+            let r = VirtualRuntime::new(cfg).run(Box::new(FifoStrategy::new()), move |ctx| {
+                ctx.yield_now();
+                while !spin.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            });
+            assert_eq!(r.outcome, Outcome::Hang);
+        });
+        release.store(true, Ordering::Relaxed);
+    }
+
+    #[test]
+    fn pool_survives_a_program_panic() {
+        pool_survives(|| {
+            let r = VirtualRuntime::new(cfg()).run(Box::new(RoundRobinStrategy::new()), |ctx| {
+                let t = ctx.spawn(site!(), "doomed", |ctx| {
+                    ctx.yield_now();
+                    std::panic::panic_any(crate::fault::InjectedFault("model bug".into()));
+                });
+                ctx.join(&t, site!());
+            });
+            assert!(
+                matches!(r.outcome, Outcome::ProgramPanic(_)),
+                "{:?}",
+                r.outcome
+            );
+        });
+    }
+
+    #[test]
+    fn pool_survives_an_injected_acquire_panic() {
+        pool_survives(|| {
+            let plan = crate::FaultPlan::new(11).with_panic_on_acquire(1.0);
+            let r = VirtualRuntime::new(cfg().with_fault_plan(plan))
+                .run(Box::new(FifoStrategy::new()), spawning_program);
+            assert!(
+                matches!(r.outcome, Outcome::ProgramPanic(_)),
+                "{:?}",
+                r.outcome
+            );
+            assert!(r.faults.panics >= 1);
+        });
+    }
+
+    /// Main and one child, both yielding forever.
+    fn two_endless_yielders(ctx: &TCtx) {
+        let _t = ctx.spawn(site!(), "spinner", |ctx| loop {
+            ctx.yield_now();
+        });
+        loop {
+            ctx.yield_now();
+        }
+    }
+
+    #[test]
+    fn pool_survives_a_step_limit() {
+        pool_survives(|| {
+            let cfg = cfg().with_max_steps(50);
+            let r = VirtualRuntime::new(cfg)
+                .run(Box::new(RoundRobinStrategy::new()), two_endless_yielders);
+            assert_eq!(r.outcome, Outcome::StepLimit);
+        });
+    }
+
+    #[test]
+    fn pool_survives_a_deadline() {
+        pool_survives(|| {
+            let cfg = RunConfig::default()
+                .with_max_steps(u64::MAX)
+                .with_hang_timeout(Duration::from_secs(60))
+                .with_deadline(Duration::from_millis(50));
+            let r = VirtualRuntime::new(cfg)
+                .run(Box::new(RoundRobinStrategy::new()), two_endless_yielders);
+            assert_eq!(r.outcome, Outcome::DeadlineExceeded);
+        });
+    }
+
+    #[test]
+    fn pool_survives_a_deadlock_abort_that_unwinds_guards() {
+        pool_survives(|| {
+            let r = VirtualRuntime::new(cfg()).run(Box::new(RoundRobinStrategy::new()), |ctx| {
+                let l1 = ctx.new_lock(site!("l1"));
+                let l2 = ctx.new_lock(site!("l2"));
+                let t1 = ctx.spawn(site!(), "t1", move |ctx| {
+                    let _a = ctx.lock(&l1, site!());
+                    ctx.yield_now();
+                    let _b = ctx.lock(&l2, site!());
+                });
+                let t2 = ctx.spawn(site!(), "t2", move |ctx| {
+                    let _b = ctx.lock(&l2, site!());
+                    ctx.yield_now();
+                    let _a = ctx.lock(&l1, site!());
+                });
+                ctx.join(&t1, site!());
+                ctx.join(&t2, site!());
+            });
+            assert_eq!(r.outcome.deadlock().expect("forced deadlock").len(), 2);
+        });
     }
 }

@@ -248,11 +248,21 @@ impl Global {
 
     /// All enabled threads in id order.
     pub(crate) fn enabled(&self) -> Vec<ThreadId> {
-        self.threads
-            .iter()
-            .filter(|ts| self.is_enabled(ts.id))
-            .map(|ts| ts.id)
-            .collect()
+        let mut out = Vec::new();
+        self.enabled_into(&mut out);
+        out
+    }
+
+    /// [`Self::enabled`] into a caller-owned buffer (cleared first), so the
+    /// schedule point reuses one allocation for the whole run.
+    pub(crate) fn enabled_into(&self, out: &mut Vec<ThreadId>) {
+        out.clear();
+        out.extend(
+            self.threads
+                .iter()
+                .filter(|ts| self.is_enabled(ts.id))
+                .map(|ts| ts.id),
+        );
     }
 
     /// All alive (non-finished) threads in id order.
