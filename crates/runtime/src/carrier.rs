@@ -1,18 +1,17 @@
-//! The carrier pool: OS threads that carry virtual threads, reused across
-//! runs.
+//! The carrier pool: OS threads that carry runs, reused across runs.
 //!
-//! Every virtual thread needs an OS thread of its own for as long as it
-//! lives (its program closure keeps a native stack). Spawning and joining
-//! one per virtual thread per run dominated short Phase II trials, so
-//! finished carriers park on a process-wide idle stack instead of exiting
-//! and the next run's [`launch`] hands them their next job.
+//! Every run needs one OS thread for its executor, on which all of its
+//! virtual threads run as fibers. Spawning and joining one per run would
+//! cost short Phase II trials an OS thread start each, so finished
+//! carriers park on a process-wide idle stack instead of exiting and the
+//! next run's [`launch`] hands them their next job.
 //!
-//! A run waits for its jobs through a [`Latch`] rather than by joining
-//! threads. A carrier pushes itself back onto the idle stack *before* it
-//! counts its job down, so once a run's latch reaches zero every carrier
-//! it used is ready for the next run. Carriers are never joined: a run
-//! that hangs does not wait for a carrier stuck in program code, which
-//! rejoins the pool only if that code ever returns.
+//! A run waits for its job through a [`Latch`] rather than by joining a
+//! thread. A carrier pushes itself back onto the idle stack *before* it
+//! counts its job down, so once a run's latch reaches zero the carrier it
+//! used is ready for the next run. Carriers are never joined: a run that
+//! hangs does not wait for a carrier stuck in program code, which rejoins
+//! the pool only if that code ever returns.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -21,8 +20,10 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 
 /// The most idle carriers kept for reuse; a carrier finishing a job while
-/// the stack is full exits instead. Sized above the largest program model
-/// (55 threads) times a few parallel trial workers.
+/// the stack is full exits instead. A carrier executes one whole run,
+/// whatever its thread count, so this counts concurrent runs: it is sized
+/// above the trial workers a campaign runs at once (`--jobs`, up to one
+/// per core on large hosts).
 const MAX_IDLE: usize = 256;
 
 /// Idle carriers, each reachable through the sending end of its job queue.

@@ -5,12 +5,13 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use df_events::{AcquireMode, EventKind, Label, ObjId, ObjKind, ThreadId};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::carrier::{self, Latch};
 use crate::config::RunConfig;
 use crate::ctx::TCtx;
 use crate::fault::{FaultState, InjectedFault};
+use crate::fiber::{self, Fiber};
 use crate::pending::PendingOp;
 use crate::result::{DeadlockWitness, Detector, Outcome, WitnessComponent};
 use crate::state::{Global, ThreadState, ThreadStatus};
@@ -39,39 +40,20 @@ pub(crate) enum OpOutcome {
 pub(crate) struct Inner {
     pub(crate) g: Global,
     pub(crate) strategy: Option<Box<dyn Strategy>>,
-    /// One parker per virtual thread, indexed by `ThreadId`. Grown only by
-    /// [`Inner::push_thread`].
-    parkers: Vec<Parker>,
+    /// One fiber per virtual thread, indexed by `ThreadId`. Grown only by
+    /// [`Controller::launch`]. The executor takes a fiber out while it
+    /// runs and puts it back once it is suspended or finished.
+    fibers: Vec<Fiber>,
     /// The enabled set of the current schedule point, kept to reuse its
     /// allocation.
     enabled: Vec<ThreadId>,
     /// Set when the run has fully terminated (normally or by abort).
     pub(crate) done: bool,
-    /// Wakeups of a parked thread that found the token elsewhere while the
-    /// run was still going: always zero when handoffs wake only the picked
-    /// thread.
+    /// Resumptions of a fiber that found the token elsewhere while the run
+    /// was still going: always zero when the executor resumes only the
+    /// picked thread.
     #[cfg(test)]
     pub(crate) futile_wakeups: u64,
-}
-
-impl Inner {
-    /// Registers a virtual thread together with its parker.
-    pub(crate) fn push_thread(&mut self, ts: ThreadState) {
-        debug_assert_eq!(ts.id.as_usize(), self.g.threads.len(), "ids are dense");
-        self.g.threads.push(ts);
-        self.parkers.push(Parker::default());
-    }
-}
-
-/// Where a virtual thread waits for the token: a condvar of its own, so a
-/// handoff wakes exactly the picked thread.
-#[derive(Default)]
-struct Parker {
-    cv: Arc<Condvar>,
-    /// Whether the thread sleeps on `cv`. A thread that is not parked
-    /// checks `current` under the mutex before it waits, so it needs no
-    /// signal (picking the running thread itself costs no wakeup).
-    parked: bool,
 }
 
 /// Shared controller for one run.
@@ -80,7 +62,8 @@ pub(crate) struct Controller {
     /// The supervisor's own condvar (see `VirtualRuntime::run`), signalled
     /// only when the run ends.
     pub(crate) supervisor: Condvar,
-    /// Outstanding carrier jobs of this run; replaces joining OS threads.
+    /// The run's outstanding carrier job (its executor); replaces joining
+    /// an OS thread.
     pub(crate) latch: Arc<Latch>,
     pub(crate) config: RunConfig,
 }
@@ -115,7 +98,7 @@ impl Controller {
             inner: Mutex::new(Inner {
                 g,
                 strategy: Some(strategy),
-                parkers: Vec::new(),
+                fibers: Vec::new(),
                 enabled: Vec::new(),
                 done: false,
                 #[cfg(test)]
@@ -153,33 +136,76 @@ impl Controller {
         }
     }
 
-    /// Ends the run with `outcome` (first writer wins) and wakes everyone:
-    /// every parked thread, to unwind, and the supervisor.
+    /// Ends the run with `outcome` (first writer wins) and wakes the
+    /// supervisor. The executor unwinds the remaining threads.
     pub(crate) fn abort(&self, inner: &mut Inner, outcome: Outcome) {
         if inner.g.final_outcome.is_none() {
             inner.g.final_outcome = Some(outcome);
         }
         inner.g.aborting = true;
         inner.done = true;
-        for parker in &inner.parkers {
-            parker.cv.notify_one();
-        }
         self.supervisor.notify_one();
     }
 
-    /// Runs virtual thread `me` on a carrier OS thread.
-    pub(crate) fn launch<F>(self: &Arc<Self>, me: ThreadId, f: F)
+    /// Registers virtual thread `ts` with the fiber that will run `f`; it
+    /// first runs when the executor resumes it.
+    pub(crate) fn launch<F>(self: &Arc<Self>, inner: &mut Inner, ts: ThreadState, f: F)
     where
         F: FnOnce(&TCtx) + Send + 'static,
     {
+        let me = ts.id;
+        debug_assert_eq!(me.as_usize(), inner.g.threads.len(), "ids are dense");
         let ctl = Arc::clone(self);
-        carrier::launch(&self.latch, Box::new(move || ctl.thread_main(me, f)));
+        inner.g.threads.push(ts);
+        inner
+            .fibers
+            .push(Fiber::new(Box::new(move || ctl.thread_main(me, f))));
+    }
+
+    /// Hands the run's executor to a carrier OS thread.
+    pub(crate) fn start_executor(self: &Arc<Self>) {
+        let ctl = Arc::clone(self);
+        carrier::launch(&self.latch, Box::new(move || ctl.executor()));
+    }
+
+    /// Runs every virtual thread of the run as a fiber on this OS thread:
+    /// resumes `current` (the main thread before the first pick) until the
+    /// run ends, then each unfinished fiber in id order so it unwinds.
+    /// The controller mutex is never held across a switch.
+    fn executor(&self) {
+        let mut ran: Option<(usize, Fiber)> = None;
+        loop {
+            let mut inner = self.inner.lock();
+            if let Some((t, fiber)) = ran.take() {
+                inner.fibers[t] = fiber;
+            }
+            let next = if inner.g.aborting {
+                match inner.fibers.iter().position(|f| !f.is_finished()) {
+                    Some(t) => t,
+                    None => return,
+                }
+            } else {
+                let t = inner.g.current.map_or(0, |t| t.as_usize());
+                if inner.fibers[t].is_finished() {
+                    // Its exit path panicked (a sink or strategy callback)
+                    // before handing the token on.
+                    let msg = format!("thread {t} ended without handing the token on");
+                    self.abort(&mut inner, Outcome::ProgramPanic(msg));
+                    continue;
+                }
+                t
+            };
+            let mut fiber = std::mem::take(&mut inner.fibers[next]);
+            drop(inner);
+            fiber.resume();
+            ran = Some((next, fiber));
+        }
     }
 
     /// Picks the next thread to run. Called whenever the token is free
-    /// (`current == None`). On success `current` is set and the picked
-    /// thread — only it — is woken. Returns `Err(Aborted)` if the run
-    /// ended instead.
+    /// (`current == None`). On success `current` is set; the executor
+    /// resumes the picked thread — only it — once the caller suspends.
+    /// Returns `Err(Aborted)` if the run ended instead.
     fn reschedule(&self, inner: &mut Inner) -> Result<(), Aborted> {
         if inner.g.aborting {
             return Err(Aborted);
@@ -201,10 +227,6 @@ impl Controller {
         match directive {
             Directive::Run(t) if inner.enabled.contains(&t) => {
                 inner.g.current = Some(t);
-                let parker = &inner.parkers[t.as_usize()];
-                if parker.parked {
-                    parker.cv.notify_one();
-                }
                 Ok(())
             }
             Directive::Run(t) => {
@@ -399,7 +421,7 @@ impl Controller {
     /// strategy picks `me` again.
     fn announce_and_wait(
         &self,
-        inner: &mut parking_lot::MutexGuard<'_, Inner>,
+        inner: &mut MutexGuard<'_, Inner>,
         me: ThreadId,
         op: PendingOp,
     ) -> Result<(), Aborted> {
@@ -422,23 +444,19 @@ impl Controller {
         self.wait_until_picked(inner, me)
     }
 
-    /// Blocks on `me`'s own parker until the strategy makes `me` current,
-    /// then marks it running.
+    /// Suspends `me`'s fiber to the executor, with the controller mutex
+    /// released, until the strategy makes `me` current; then marks it
+    /// running.
     fn wait_until_picked(
         &self,
-        inner: &mut parking_lot::MutexGuard<'_, Inner>,
+        inner: &mut MutexGuard<'_, Inner>,
         me: ThreadId,
     ) -> Result<(), Aborted> {
-        if !inner.g.aborting && inner.g.current != Some(me) {
-            let cv = Arc::clone(&inner.parkers[me.as_usize()].cv);
-            while !inner.g.aborting && inner.g.current != Some(me) {
-                inner.parkers[me.as_usize()].parked = true;
-                cv.wait(inner);
-                inner.parkers[me.as_usize()].parked = false;
-                #[cfg(test)]
-                if !inner.g.aborting && inner.g.current != Some(me) {
-                    inner.futile_wakeups += 1;
-                }
+        while !inner.g.aborting && inner.g.current != Some(me) {
+            MutexGuard::unlocked(inner, fiber::suspend);
+            #[cfg(test)]
+            if !inner.g.aborting && inner.g.current != Some(me) {
+                inner.futile_wakeups += 1;
             }
         }
         if inner.g.aborting {
@@ -449,18 +467,15 @@ impl Controller {
     }
 
     /// First schedule point of a thread. Unlike [`Self::op`], the thread
-    /// does *not* hold the token here: it was registered as
-    /// `Announced(Start)` by its spawner and may even have been picked
-    /// already (OS startup races the strategy's decision). Consume an
-    /// existing pick if there is one; otherwise wait for one. Kicking the
-    /// scheduler is only needed for the main thread, which starts with a
-    /// free token.
+    /// does *not* announce here: it was registered as `Announced(Start)` by
+    /// its spawner, and the executor first resumes its fiber once it is
+    /// picked. Kicking the scheduler is only needed for the main thread,
+    /// which starts with a free token.
     ///
     /// The start schedule point is accounted to `steps`/`progress` at
     /// *registration* (by the spawn entry points and the main-thread
-    /// setup), not here: this function runs at OS-thread-startup time,
-    /// and bumping the counters here would let wall-clock timing shift
-    /// the step numbering of an otherwise deterministic schedule.
+    /// setup), not here, so the step numbering stays that of the
+    /// schedule.
     pub(crate) fn start_point(&self, me: ThreadId) -> Result<(), Aborted> {
         let mut inner = self.inner.lock();
         if inner.g.current.is_none() && !inner.g.aborting {
@@ -831,8 +846,8 @@ impl Controller {
         }
     }
 
-    /// Spawn entry point: registers the child under the schedule point of
-    /// the parent and hands it to a carrier OS thread.
+    /// Spawn entry point: registers the child, and the fiber that runs it,
+    /// under the schedule point of the parent.
     pub(crate) fn spawn<F>(
         self: &Arc<Self>,
         me: ThreadId,
@@ -860,19 +875,16 @@ impl Controller {
             Some(name.clone()),
         );
         let child = ThreadId::new(u32::try_from(inner.g.threads.len()).expect("thread overflow"));
-        inner.push_thread(ThreadState::new(child, name, child_obj));
+        // The child is Announced(Start); the strategy may pick it at any
+        // later schedule point.
+        self.launch(&mut inner, ThreadState::new(child, name, child_obj), f);
         inner.g.trace.bind_thread(child, child_obj);
         self.config.sink.thread_bound(child, child_obj);
         // Account the child's start schedule point now, while we hold the
-        // parent's critical section — not when the OS gets around to
-        // starting the thread (see `start_point`).
+        // parent's critical section (see `start_point`).
         inner.g.steps += 1;
         inner.g.progress += 1;
         self.record(&mut inner, me, EventKind::Spawn { child, child_obj });
-        // The child is now Announced(Start); the strategy may pick it at
-        // any later schedule point. Hand it to the OS thread that will
-        // carry it.
-        self.launch(child, f);
         // Fault injection: a program spawn may fan out one extra busy
         // thread the program never asked for (bounded by the plan's cap).
         if inner
@@ -907,20 +919,23 @@ impl Controller {
             Some(name.clone()),
         );
         let child = ThreadId::new(u32::try_from(inner.g.threads.len()).expect("thread overflow"));
-        inner.push_thread(ThreadState::new(child, name, child_obj));
+        self.launch(
+            inner,
+            ThreadState::new(child, name, child_obj),
+            |ctx: &TCtx| {
+                for _ in 0..16 {
+                    ctx.yield_now();
+                }
+            },
+        );
         inner.g.trace.bind_thread(child, child_obj);
         self.config.sink.thread_bound(child, child_obj);
         inner.g.steps += 1;
         inner.g.progress += 1;
         self.record(inner, parent, EventKind::Spawn { child, child_obj });
-        self.launch(child, |ctx: &TCtx| {
-            for _ in 0..16 {
-                ctx.yield_now();
-            }
-        });
     }
 
-    /// Body of every virtual thread's carrier job.
+    /// Body of every virtual thread's fiber.
     fn thread_main<F>(self: Arc<Self>, me: ThreadId, f: F)
     where
         F: FnOnce(&TCtx),
@@ -952,8 +967,8 @@ impl Controller {
         self.thread_exit(me);
     }
 
-    /// Marks `me` finished and hands the token onward (which wakes the
-    /// next thread, or everyone if the run ends here).
+    /// Marks `me` finished and hands the token onward (to the next
+    /// thread, or to the executor's unwinding if the run ends here).
     fn thread_exit(&self, me: ThreadId) {
         let mut inner = self.inner.lock();
         if !matches!(inner.g.thread(me).status, ThreadStatus::Finished) {

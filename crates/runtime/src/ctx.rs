@@ -134,10 +134,13 @@ impl TCtx {
     /// (statics, wall clock, OS scheduling), so a (program, seed) pair
     /// always replays the same execution tree. Not a schedule point.
     ///
-    /// Nor is the OS thread per-virtual-thread state: virtual threads run
-    /// on pooled OS threads reused across runs, so thread-locals may hold
-    /// values from earlier virtual threads, and `std::thread::current()`
-    /// names the pooled thread, not this one.
+    /// Nor is the OS thread per-virtual-thread state: every virtual thread
+    /// of a run is a fiber on one pooled OS thread, reused across runs, so
+    /// thread-locals, `std::thread::current()` and
+    /// `std::thread::panicking()` are shared by all of them and may hold
+    /// values from earlier runs. A real blocking call (a `std` mutex, a
+    /// channel, a sleep) stalls the whole run until it is classified as a
+    /// hang.
     pub fn run_seed(&self) -> u64 {
         self.ctl.config.program_seed
     }
@@ -584,8 +587,11 @@ pub struct LockGuard<'a> {
 
 impl LockGuard<'_> {
     /// Releases the lock early (idempotent with the drop).
+    ///
+    /// Unlike the drop, this unwinds the thread (see [`TCtx`]) if the run
+    /// is shutting down.
     pub fn unlock(mut self) {
-        self.release_inner();
+        unwrap_or_abort(self.release_inner());
     }
 
     /// The guarded lock.
@@ -593,31 +599,32 @@ impl LockGuard<'_> {
         self.lock
     }
 
-    fn release_inner(&mut self) {
+    fn release_inner(&mut self) -> Result<(), Aborted> {
         if self.released {
-            return;
+            return Ok(());
         }
         self.released = true;
-        let r = self.ctx.ctl.op(
-            self.ctx.me,
-            PendingOp::Release {
-                lock: self.lock.id,
-                site: self.site,
-            },
-        );
-        if r.is_err() && !std::thread::panicking() {
-            // The run is shutting down while this thread executes user
-            // code: unwind it like any other aborted operation. If we are
-            // already unwinding (AbortToken flew through the guard's
-            // scope), swallow to avoid a double panic.
-            panic::panic_any(AbortToken);
-        }
+        self.ctx
+            .ctl
+            .op(
+                self.ctx.me,
+                PendingOp::Release {
+                    lock: self.lock.id,
+                    site: self.site,
+                },
+            )
+            .map(drop)
     }
 }
 
 impl Drop for LockGuard<'_> {
+    /// Releases the lock. If the run is shutting down the release is
+    /// swallowed, never raised: the drop may be part of an unwind, and
+    /// `std::thread::panicking()` cannot tell, since every virtual thread
+    /// of a run shares one OS thread. A thread that is not unwinding
+    /// unwinds at its next operation instead.
     fn drop(&mut self) {
-        self.release_inner();
+        let _ = self.release_inner();
     }
 }
 

@@ -42,12 +42,15 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 mod carrier;
 mod config;
 mod controller;
 mod ctx;
 mod fault;
+#[allow(unsafe_code)]
+mod fiber;
 mod pending;
 mod result;
 mod runtime;

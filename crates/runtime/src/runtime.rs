@@ -65,15 +65,19 @@ impl VirtualRuntime {
                 Vec::new(),
                 Some("main".to_string()),
             );
-            inner.push_thread(ThreadState::new(main_id, "main".to_string(), main_obj));
+            ctl.launch(
+                &mut inner,
+                ThreadState::new(main_id, "main".to_string(), main_obj),
+                main,
+            );
             inner.g.trace.bind_thread(main_id, main_obj);
             self.config.sink.thread_bound(main_id, main_obj);
-            // The main thread's start schedule point, accounted here so
-            // step numbering never depends on OS thread-startup timing.
+            // The main thread's start schedule point, accounted here like
+            // every spawned thread's (see `Controller::start_point`).
             inner.g.steps += 1;
             inner.g.progress += 1;
-            ctl.launch(main_id, main);
         }
+        ctl.start_executor();
 
         // Supervise: wait for completion, watching for hangs (program code
         // spinning without schedule points) and the hard wall-clock
@@ -118,9 +122,9 @@ impl VirtualRuntime {
             ctl.supervisor.wait_for(&mut inner, wait);
         };
 
-        // Collect results. On a hang we cannot wait for carriers stuck in
-        // user code; they are detached, and rejoin the pool only if that
-        // code ever returns.
+        // Collect results. On a hang we cannot wait for the executor's
+        // carrier, stuck in user code; it is detached, and rejoins the pool
+        // only if that code ever returns.
         let (outcome, trace, steps, mut strategy, faults) = {
             let mut inner = ctl.inner.lock();
             let outcome = inner.g.final_outcome.take().unwrap_or(Outcome::Completed);
@@ -1024,6 +1028,88 @@ mod tests {
                 .run(Box::new(RoundRobinStrategy::new()), two_endless_yielders);
             assert_eq!(r.outcome, Outcome::DeadlineExceeded);
         });
+    }
+
+    #[test]
+    fn a_panic_during_another_threads_unwind_is_classified() {
+        pool_survives(|| {
+            let b_saw_unwinding = crate::ctx::Shared::new(false);
+            let saw = b_saw_unwinding.clone();
+            let r =
+                VirtualRuntime::new(cfg()).run(Box::new(RoundRobinStrategy::new()), move |ctx| {
+                    let l = ctx.new_lock(site!("l"));
+                    let a = ctx.spawn(site!(), "a", move |ctx| {
+                        let _g = ctx.lock(&l, site!("a holds l"));
+                        // The guard's release is a schedule point of a's
+                        // unwind, where round robin picks b.
+                        std::panic::panic_any(crate::fault::InjectedFault(
+                            "a panics holding a guard".into(),
+                        ));
+                    });
+                    let b = ctx.spawn(site!(), "b", move |_ctx| {
+                        saw.with(|s| *s = std::thread::panicking());
+                        std::panic::panic_any(crate::fault::InjectedFault(
+                            "b panics while a unwinds".into(),
+                        ));
+                    });
+                    ctx.join(&a, site!());
+                    ctx.join(&b, site!());
+                });
+            match r.outcome {
+                Outcome::ProgramPanic(ref m) => assert!(m.contains("b panics"), "{m}"),
+                ref o => panic!("unexpected outcome {o:?}"),
+            }
+            // b ran in the middle of a's unwind, on the same OS thread.
+            assert!(b_saw_unwinding.get());
+        });
+    }
+
+    #[test]
+    fn an_aborted_guard_drop_unwinds_at_the_next_operation() {
+        // The release is the fourth schedule point (after the start, the
+        // allocation and the acquire), so it hits the step limit.
+        let after_drop = crate::ctx::Shared::new(false);
+        let after_next_op = crate::ctx::Shared::new(false);
+        let (d, n) = (after_drop.clone(), after_next_op.clone());
+        let r = VirtualRuntime::new(cfg().with_max_steps(3)).run(
+            Box::new(FifoStrategy::new()),
+            move |ctx| {
+                let l = ctx.new_lock(site!());
+                let g = ctx.lock(&l, site!());
+                drop(g);
+                d.with(|v| *v = true);
+                ctx.yield_now();
+                n.with(|v| *v = true);
+            },
+        );
+        assert_eq!(r.outcome, Outcome::StepLimit);
+        assert!(after_drop.get(), "the drop swallowed the abort");
+        assert!(!after_next_op.get(), "the next operation unwound");
+    }
+
+    #[test]
+    fn a_virtual_thread_recursing_through_a_mebibyte_completes() {
+        /// Recurses, a KiB or more per frame, until the stack below `top`
+        /// is a MiB deep; returns that depth in bytes.
+        #[inline(never)]
+        fn recurse(top: usize) -> usize {
+            let frame = std::hint::black_box([1u8; 1024]);
+            let used = top - std::ptr::addr_of!(frame) as usize;
+            if used >= 1 << 20 {
+                return used;
+            }
+            recurse(top).max(usize::from(frame[1023]))
+        }
+        let r = VirtualRuntime::new(cfg()).run(Box::new(FifoStrategy::new()), |ctx| {
+            let t = ctx.spawn(site!(), "deep", |ctx| {
+                ctx.yield_now();
+                let top = 0u8;
+                assert!(recurse(std::ptr::addr_of!(top) as usize) >= 1 << 20);
+                ctx.yield_now();
+            });
+            ctx.join(&t, site!());
+        });
+        assert!(r.outcome.is_completed(), "{:?}", r.outcome);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Carrier OS threads are reused across runs.
+//! A run's virtual threads share one carrier OS thread, and carriers are
+//! reused across runs.
 //!
 //! This is its own test binary, with a single test, because the carrier
 //! pool is process-wide: concurrent runs from other tests would take idle
@@ -17,7 +18,8 @@ fn back_to_back_runs_reuse_their_carriers() {
     let carriers = Arc::new(Mutex::new(HashSet::new()));
     let rt = VirtualRuntime::new(RunConfig::default());
     for _ in 0..100 {
-        let seen = Arc::clone(&carriers);
+        let run_threads = Arc::new(Mutex::new(HashSet::new()));
+        let seen = Arc::clone(&run_threads);
         let r = rt.run(Box::new(RoundRobinStrategy::new()), move |ctx| {
             let mut workers = Vec::new();
             for i in 0..7 {
@@ -25,6 +27,7 @@ fn back_to_back_runs_reuse_their_carriers() {
                 workers.push(ctx.spawn(site!(), &format!("w{i}"), move |ctx| {
                     seen.lock().unwrap().insert(std::thread::current().id());
                     ctx.yield_now();
+                    seen.lock().unwrap().insert(std::thread::current().id());
                 }));
             }
             seen.lock().unwrap().insert(std::thread::current().id());
@@ -33,10 +36,15 @@ fn back_to_back_runs_reuse_their_carriers() {
             }
         });
         assert!(r.outcome.is_completed(), "{:?}", r.outcome);
+        let run_threads = run_threads.lock().unwrap();
+        assert_eq!(
+            run_threads.len(),
+            1,
+            "the 8 virtual threads of one run ran on {} OS threads",
+            run_threads.len()
+        );
+        carriers.lock().unwrap().extend(run_threads.iter().copied());
     }
     let spawned = carriers.lock().unwrap().len();
-    assert!(
-        spawned <= 8,
-        "100 runs of 8 threads spawned {spawned} carriers"
-    );
+    assert_eq!(spawned, 1, "100 runs of 8 threads used {spawned} carriers");
 }
