@@ -8,19 +8,9 @@
 //! ```text
 //! cargo run --release -p df-bench --bin igoodlock_bench
 //! cargo run --release -p df-bench --bin igoodlock_bench -- \
-//!     --sizes 4,8,12,16 --pairs 48 --noise 4096 --reps 3 --jobs 1,2,4 \
-//!     --min-parallel-speedup 2.5 --trace-events 1000000 \
-//!     --precision-trials 20 --out BENCH_igoodlock.json
+//!     --sizes 4,8,12,16 --pairs 48 --noise 4096 --reps 3 \
+//!     --trace-events 1000000 --precision-trials 20 --out BENCH_igoodlock.json
 //! ```
-//!
-//! The `join_parallel` sweep runs the sharded parallel join at every
-//! `--jobs` value over the rings, the standard synthetic relation, and a
-//! scaled synthetic relation (`2x` pairs, `4x` noise), asserting
-//! byte-identical cycle reports and identical join stats against the
-//! sequential indexed join. `--min-parallel-speedup` additionally gates
-//! the scaled workload's speedup at the largest jobs value — skipped
-//! (with a note) on hosts with fewer hardware threads than jobs, where
-//! no real speedup is physically possible.
 //!
 //! The `precision` envelope runs every Table 1 benchmark twice — a
 //! uniform Phase II campaign and the feasibility-seeded adaptive one —
@@ -36,21 +26,18 @@
 //! gate lives here, not in the library's unit tests.
 
 use df_bench::{
-    check_row_speedups, igoodlock_bench, join_parallel_bench, precision_bench, streaming_bench,
-    trace_io_bench_rows, IGoodlockBenchRow, JoinParallelRow, PrecisionRow, StreamingBenchRow,
-    TraceIoBenchRow,
+    check_row_speedups, igoodlock_bench, precision_bench, streaming_bench, trace_io_bench_rows,
+    IGoodlockBenchRow, PrecisionRow, StreamingBenchRow, TraceIoBenchRow,
 };
 use serde::Serialize;
 
 /// The envelope written to `BENCH_igoodlock.json`: the join comparison,
-/// the parallel-join jobs sweep, the streaming memory/throughput
-/// comparison, the trace I/O throughput comparison, and the precision
+/// the streaming memory/throughput comparison, the trace I/O throughput comparison, and the precision
 /// envelope (predicted-vs-confirmed rates per Table 1 benchmark) — one
 /// file so CI uploads a single artifact.
 #[derive(Serialize)]
 struct BenchArtifact {
     join: Vec<IGoodlockBenchRow>,
-    join_parallel: Vec<JoinParallelRow>,
     streaming: Vec<StreamingBenchRow>,
     trace_io: Vec<TraceIoBenchRow>,
     precision: Vec<PrecisionRow>,
@@ -61,8 +48,6 @@ struct Args {
     pairs: u32,
     noise: u32,
     reps: u32,
-    jobs: Vec<usize>,
-    min_parallel_speedup: f64,
     trace_events: u64,
     precision_trials: u32,
     out: String,
@@ -73,8 +58,6 @@ fn parse_args() -> Args {
     let mut pairs = 48u32;
     let mut noise = 4096u32;
     let mut reps = 3u32;
-    let mut jobs = vec![1usize, 2, 4];
-    let mut min_parallel_speedup = 0.0f64;
     let mut trace_events = 1_000_000u64;
     let mut precision_trials = 20u32;
     let mut out = String::from("BENCH_igoodlock.json");
@@ -109,22 +92,6 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .expect("--reps needs a number");
             }
-            "--jobs" => {
-                jobs = args
-                    .next()
-                    .map(|v| {
-                        v.split(',')
-                            .map(|s| s.trim().parse().expect("--jobs needs numbers"))
-                            .collect()
-                    })
-                    .expect("--jobs needs a comma-separated list");
-            }
-            "--min-parallel-speedup" => {
-                min_parallel_speedup = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--min-parallel-speedup needs a number");
-            }
             "--trace-events" => {
                 trace_events = args
                     .next()
@@ -151,8 +118,6 @@ fn parse_args() -> Args {
         pairs,
         noise,
         reps,
-        jobs,
-        min_parallel_speedup,
         trace_events,
         precision_trials,
         out,
@@ -160,16 +125,15 @@ fn parse_args() -> Args {
 }
 
 fn print_rows(rows: &[IGoodlockBenchRow]) {
-    println!("== Phase I cycle computation: naive vs indexed vs DFS vs parallel ==");
+    println!("== Phase I cycle computation: naive vs indexed vs DFS ==");
     println!(
-        "{:<22} {:>6} {:>7} | {:>10} {:>10} {:>10} {:>10} {:>8} | {:>12} {:>14} {:>14}",
+        "{:<22} {:>6} {:>7} | {:>10} {:>10} {:>10} {:>8} | {:>12} {:>14} {:>14}",
         "workload",
         "|D|",
         "cycles",
         "naive(ms)",
         "index(ms)",
         "dfs(ms)",
-        "par4(ms)",
         "speedup",
         "chains",
         "naive cand.",
@@ -177,14 +141,13 @@ fn print_rows(rows: &[IGoodlockBenchRow]) {
     );
     for r in rows {
         println!(
-            "{:<22} {:>6} {:>7} | {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>7.1}x | {:>12} {:>14} {:>14}",
+            "{:<22} {:>6} {:>7} | {:>10.3} {:>10.3} {:>10.3} {:>7.1}x | {:>12} {:>14} {:>14}",
             r.workload,
             r.relation_size,
             r.cycles,
             r.naive_ms,
             r.indexed_ms,
             r.dfs_ms,
-            r.parallel_ms,
             r.speedup,
             r.chains_built,
             r.naive_candidates_examined,
@@ -192,48 +155,8 @@ fn print_rows(rows: &[IGoodlockBenchRow]) {
         );
     }
     println!(
-        "(per row: identical cycles and chains_built across naive/indexed/parallel, \
+        "(per row: identical cycles and chains_built across naive/indexed, \
          identical cycle set from the DFS baseline; times are best of reps)"
-    );
-}
-
-fn print_parallel_rows(rows: &[JoinParallelRow]) {
-    println!();
-    println!("== Phase I parallel join: sharded frontier vs sequential indexed ==");
-    println!(
-        "{:<22} {:>6} {:>5} {:>7} | {:>10} {:>10} {:>8} | {:>12} {:>14} {:>8} {:>8}",
-        "workload",
-        "|D|",
-        "jobs",
-        "cycles",
-        "index(ms)",
-        "par(ms)",
-        "speedup",
-        "chains",
-        "candidates",
-        "tasks",
-        "waits"
-    );
-    for r in rows {
-        println!(
-            "{:<22} {:>6} {:>5} {:>7} | {:>10.3} {:>10.3} {:>7.2}x | {:>12} {:>14} {:>8} {:>8}",
-            r.workload,
-            r.relation_size,
-            r.jobs,
-            r.cycles,
-            r.indexed_ms,
-            r.parallel_ms,
-            r.speedup,
-            r.chains_built,
-            r.candidates_examined,
-            r.tasks_executed,
-            r.steal_waits,
-        );
-    }
-    println!(
-        "(per row: byte-identical cycle report and identical chains_built / \
-         candidates_examined vs the sequential indexed join; naive oracle \
-         cross-checked once per workload; times are best of reps)"
     );
 }
 
@@ -350,49 +273,6 @@ fn enforce_precision(rows: &[PrecisionRow]) {
     }
 }
 
-/// Enforces `--min-parallel-speedup` on the scaled synthetic workload at
-/// the largest requested jobs value. The gate only applies when the host
-/// actually has that many hardware threads — a single-core runner cannot
-/// speed anything up, so it records honest numbers and skips the gate
-/// (parity is still enforced unconditionally by `join_parallel_bench`).
-fn enforce_parallel_speedup(rows: &[JoinParallelRow], args: &Args) {
-    if args.min_parallel_speedup <= 0.0 {
-        return;
-    }
-    let Some(&jobs) = args.jobs.iter().max() else {
-        return;
-    };
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    if cores < jobs {
-        println!(
-            "(skipping --min-parallel-speedup {} gate: host has {cores} hardware \
-             thread(s), gate needs >= {jobs})",
-            args.min_parallel_speedup
-        );
-        return;
-    }
-    let workload = format!("synthetic-{}x{}", 2 * args.pairs, 4 * args.noise);
-    let Some(row) = rows
-        .iter()
-        .find(|r| r.workload == workload && r.jobs == jobs)
-    else {
-        eprintln!("speedup gate: no row for {workload} at jobs={jobs}");
-        std::process::exit(1);
-    };
-    if row.speedup < args.min_parallel_speedup {
-        eprintln!(
-            "speedup gate: {workload} at jobs={jobs} reached {:.2}x, \
-             required {:.2}x",
-            row.speedup, args.min_parallel_speedup
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "(speedup gate passed: {workload} at jobs={jobs} reached {:.2}x >= {:.2}x)",
-        row.speedup, args.min_parallel_speedup
-    );
-}
-
 fn main() {
     let args = parse_args();
     let join = match igoodlock_bench(&args.sizes, args.pairs, args.noise, args.reps) {
@@ -407,16 +287,6 @@ fn main() {
         eprintln!("speedup gate: {e}");
         std::process::exit(1);
     }
-    let join_parallel =
-        match join_parallel_bench(&args.sizes, args.pairs, args.noise, args.reps, &args.jobs) {
-            Ok(rows) => rows,
-            Err(e) => {
-                eprintln!("parity failure: {e}");
-                std::process::exit(1);
-            }
-        };
-    print_parallel_rows(&join_parallel);
-    enforce_parallel_speedup(&join_parallel, &args);
     let streaming = match streaming_bench(7, args.reps) {
         Ok(rows) => rows,
         Err(e) => {
@@ -438,7 +308,6 @@ fn main() {
     enforce_precision(&precision);
     let artifact = BenchArtifact {
         join,
-        join_parallel,
         streaming,
         trace_io,
         precision,

@@ -26,7 +26,7 @@ use df_abstraction::Abstractor;
 #[cfg(test)]
 use df_events::TraceFormat;
 use df_events::{SpillConfig, Trace, TRACE_BINARY_MAGIC};
-use df_igoodlock::{igoodlock_parallel, HbFilter, IGoodlockOptions, LockDependencyRelation};
+use df_igoodlock::{igoodlock_filtered, HbFilter, IGoodlockOptions, LockDependencyRelation};
 
 /// Documented process exit codes for the verdict commands (`confirm`,
 /// `run`). See README "Failure taxonomy & exit codes".
@@ -317,7 +317,6 @@ pub fn config_of(opts: &CliOptions) -> Result<Config, CliError> {
         .with_adaptive_trials(opts.adaptive)
         .with_trial_budget(opts.trial_budget)
         .with_jobs(opts.jobs)
-        .with_phase1_jobs(opts.jobs)
         .with_stream_phase1(opts.stream)
         .with_spill(opts.spill);
     if let Some(p) = opts.fault_panic {
@@ -504,12 +503,7 @@ fn abstraction_of(variant: Variant) -> df_abstraction::AbstractionMode {
 fn analyze_trace(trace: &Trace, opts: &CliOptions) -> Result<CmdOutput, CliError> {
     let relation = LockDependencyRelation::from_trace(trace);
     let hb = opts.hb.then(|| HbFilter::from_trace(trace));
-    let (cycles, stats, _) = igoodlock_parallel(
-        &relation,
-        hb.as_ref(),
-        &IGoodlockOptions::default(),
-        opts.jobs,
-    );
+    let (cycles, stats) = igoodlock_filtered(&relation, hb.as_ref(), &IGoodlockOptions::default());
     let abstractor = Abstractor::new(abstraction_of(opts.variant));
     let abstract_cycles: Vec<df_igoodlock::AbstractCycle> = cycles
         .iter()
@@ -549,16 +543,14 @@ fn analyze_relation(
     opts: &CliOptions,
 ) -> Result<CmdOutput, CliError> {
     let timings = df_obs::PhaseTimings::new();
-    let (cycles, stats, pstats) = timings.time("phase1_join", || {
-        igoodlock_parallel(relation, None, &IGoodlockOptions::default(), opts.jobs)
+    let (cycles, stats) = timings.time("phase1_join", || {
+        igoodlock_filtered(relation, None, &IGoodlockOptions::default())
     });
     let mut metrics = df_obs::Metrics::new("analyze-relation");
     metrics.counters.dependency_edges = relation.len() as u64;
     metrics.counters.cycles_found = cycles.len() as u64;
     metrics.counters.join_candidates_examined = stats.join_candidates_examined;
     metrics.counters.join_chains_built = stats.chains_built;
-    metrics.counters.join_tasks_executed = pstats.tasks_executed;
-    metrics.counters.join_steal_waits = pstats.steal_waits;
     metrics.phases = timings.snapshot();
     if let Some(span) = metrics.phases.iter().find(|s| s.name == "phase1_join") {
         metrics

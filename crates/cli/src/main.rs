@@ -7,7 +7,7 @@
 //!             [--format jsonl|binary] [--spill-ring N]
 //!             [--spill-batch-bytes N] [--spill-flush-ms N]
 //! dfz trace   <benchmark> [--seed N]            # dump a trace as JSON to stdout
-//! dfz analyze <artifact>  [--hb] [--variant V] [--json] [--jobs N]
+//! dfz analyze <artifact>  [--hb] [--variant V] [--json]
 //!             [--metrics-out F]                 # offline iGoodlock
 //! dfz confirm <benchmark> [--cycle I] [--trials N] [--variant V] [--jobs N]
 //!             [--feasibility] [--adaptive] [--trial-budget N]
@@ -34,7 +34,7 @@ fn usage() -> ! {
         "usage: dfz <list | phase1 | record | trace | analyze | confirm | run | races> [args]\n\
          a leading flag implies `run` (e.g. dfz --benchmark figure1 --metrics-out m.json)\n\
          parallelism: --jobs <n> (0 = one worker per core, 1 = sequential;\n\
-         \x20    drives Phase II trial workers and the Phase I parallel join)\n\
+         \x20    drives Phase II trial workers)\n\
          observability: --metrics-out <file> --trace-out <file.jsonl>\n\
          recording: --out <trace file> --relation-out <relation.json> --stream\n\
          \x20    --format <jsonl|binary> --spill-ring <frames> (0 = synchronous)\n\

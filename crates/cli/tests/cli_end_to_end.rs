@@ -76,6 +76,11 @@ fn usage_errors_exit_two() {
             .code(),
         Some(2)
     );
+    // An absurd trial worker count is refused before any thread spawns.
+    let out = dfz(&["run", "figure1", "--jobs", "2000"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("jobs must be at most 1024"), "{stderr}");
 }
 
 #[test]

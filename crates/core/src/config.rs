@@ -136,13 +136,9 @@ pub struct Config {
     /// index-based, so any `jobs` value produces the same report modulo
     /// wall-clock fields.
     pub jobs: usize,
-    /// Worker threads for the Phase I iGoodlock chain join
-    /// ([`df_igoodlock::igoodlock_parallel`]). `1` (the default) runs
-    /// the sequential indexed join; `0` means one worker per available
-    /// hardware thread. The parallel join's merge is deterministic, so
-    /// any value produces byte-identical cycle reports and identical
-    /// join statistics — only wall-clock and the scheduling counters
-    /// (`join_tasks_executed`, `join_steal_waits`) vary.
+    /// Ignored. Phase I always runs the sequential indexed join
+    /// ([`df_igoodlock::igoodlock_filtered`]); [`Config::jobs`] sizes
+    /// Phase II only. Kept so existing struct users still compile.
     pub phase1_jobs: usize,
     /// Score every Phase I cycle with the sync-preserving partial-order
     /// feasibility check ([`df_igoodlock::FeasibilityAnalysis`]): each
@@ -292,13 +288,6 @@ impl Config {
         self
     }
 
-    /// Sets the Phase I join worker count (`1` = sequential, `0` = one
-    /// per hardware thread; see [`Config::phase1_jobs`]).
-    pub fn with_phase1_jobs(mut self, jobs: usize) -> Self {
-        self.phase1_jobs = jobs;
-        self
-    }
-
     /// Enables/disables feasibility scoring of Phase I cycles.
     pub fn with_feasibility(mut self, on: bool) -> Self {
         self.feasibility = on;
@@ -406,10 +395,10 @@ impl Config {
         if self.igoodlock.max_open_chains == 0 {
             return invalid("igoodlock.max_open_chains must be at least 1".to_string());
         }
-        if self.phase1_jobs > 1024 {
+        if self.jobs > 1024 {
             return invalid(format!(
-                "phase1_jobs must be at most 1024 (0 = one worker per core), got {}",
-                self.phase1_jobs
+                "jobs must be at most 1024 (0 = one worker per core), got {}",
+                self.jobs
             ));
         }
         if self.stream_phase1 && self.hb_filter {
@@ -505,7 +494,6 @@ mod tests {
             .with_trial_deadline(Some(Duration::from_secs(5)))
             .with_trial_retries(1)
             .with_jobs(4)
-            .with_phase1_jobs(2)
             .with_stop_on_first(true)
             .with_pause_budget(99)
             .with_yield_budget(3)
@@ -520,7 +508,6 @@ mod tests {
         assert_eq!(c.trial_deadline, Some(Duration::from_secs(5)));
         assert_eq!(c.trial_retries, 1);
         assert_eq!(c.jobs, 4);
-        assert_eq!(c.phase1_jobs, 2);
         assert!(c.stop_on_first);
         assert_eq!(c.pause_budget, 99);
         assert_eq!(c.yield_budget, 3);
@@ -598,16 +585,11 @@ mod tests {
     }
 
     #[test]
-    fn validate_bounds_phase1_jobs() {
-        let c = Config::default().with_phase1_jobs(2000);
-        assert!(rejection(&c).contains("phase1_jobs"));
-        assert!(Config::default().with_phase1_jobs(0).validate().is_ok());
-        assert!(Config::default().with_phase1_jobs(1024).validate().is_ok());
-        assert_eq!(
-            Config::default().phase1_jobs,
-            1,
-            "Phase I is sequential by default"
-        );
+    fn validate_bounds_jobs() {
+        let c = Config::default().with_jobs(2000);
+        assert!(rejection(&c).contains("jobs must be at most 1024"));
+        assert!(Config::default().with_jobs(0).validate().is_ok());
+        assert!(Config::default().with_jobs(1024).validate().is_ok());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::time::Instant;
 use df_abstraction::Abstractor;
 use df_fuzzer::{ActiveConfig, ActiveStrategy, SimpleRandomChecker};
 use df_igoodlock::{
-    igoodlock_parallel, AbstractComponent, AbstractCycle, FeasibilityAnalysis, FeasibilityVerdict,
+    igoodlock_filtered, AbstractComponent, AbstractCycle, FeasibilityAnalysis, FeasibilityVerdict,
     HbFilter, LockDependencyRelation, RelationBuilder,
 };
 use df_runtime::{Outcome, RunResult, VirtualRuntime};
@@ -45,6 +45,15 @@ struct TrialRun {
     shard: df_obs::Obs,
 }
 
+/// Best-effort text of a caught confirmation panic payload.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "confirmation panicked".to_string())
+}
+
 /// Folds a campaign's trial results into a [`ProbabilityReport`],
 /// absorbing each trial's observability shard into `obs` in trial order.
 /// `requested` is the per-cycle trial ceiling the campaign aimed for and
@@ -58,15 +67,6 @@ struct TrialRun {
 /// Returns [`DfError::EmptyCampaign`] when `results` is empty: with zero
 /// trials every per-trial average is a division by zero, so no estimate
 /// exists.
-/// Best-effort text of a caught confirmation panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "confirmation panicked".to_string())
-}
-
 fn aggregate_trials(
     results: Vec<TrialRun>,
     requested: u32,
@@ -236,14 +236,13 @@ impl DeadlockFuzzer {
     /// builder is the same code the offline path delegates to, so the
     /// report's cycles are identical either way.
     pub fn phase1(&self) -> Phase1Report {
-        if self.config.stream_phase1 {
-            return self.phase1_streamed();
-        }
         let start = Instant::now();
-        let obs = self.config.obs().clone();
-        obs.emit(&df_obs::TraceEvent::PhaseStart {
+        self.config.obs().emit(&df_obs::TraceEvent::PhaseStart {
             phase: "phase1".to_string(),
         });
+        if self.config.stream_phase1 {
+            return self.phase1_streamed(start);
+        }
         let result = self.execute(
             Box::new(SimpleRandomChecker::with_seed(self.config.phase1_seed)),
             self.config.phase1_seed,
@@ -253,45 +252,13 @@ impl DeadlockFuzzer {
             .config
             .hb_filter
             .then(|| HbFilter::from_trace(&result.trace));
-        let (cycles, stats, pstats) = igoodlock_parallel(
+        self.finish_phase1(
+            start,
+            result,
             &relation,
             hb.as_ref(),
-            &self.config.igoodlock,
-            self.config.phase1_jobs,
-        );
-        let abstractor = Abstractor::new(self.config.mode);
-        let abstract_cycles = cycles
-            .iter()
-            .map(|c| c.abstract_with(result.trace.objects(), &abstractor))
-            .collect();
-        let feasibility = if self.config.feasibility {
-            FeasibilityAnalysis::new(&result.trace, &relation).score_cycles(&cycles)
-        } else {
-            Vec::new()
-        };
-        obs.counters().add_dependency_edges(relation.len() as u64);
-        obs.counters().add_cycles_found(cycles.len() as u64);
-        obs.counters()
-            .add_join_candidates_examined(stats.join_candidates_examined);
-        obs.counters().add_join_chains_built(stats.chains_built);
-        obs.counters()
-            .add_join_tasks_executed(pstats.tasks_executed);
-        obs.counters().add_join_steal_waits(pstats.steal_waits);
-        obs.timings().record("phase1", start.elapsed());
-        obs.emit(&df_obs::TraceEvent::PhaseEnd {
-            phase: "phase1".to_string(),
-        });
-        Phase1Report {
-            cycles,
-            abstract_cycles,
-            feasibility,
-            stats,
-            relation_size: relation.len(),
-            acquires_observed: relation.raw_count,
-            duration: start.elapsed(),
-            run_outcome: result.outcome,
-            trace: result.trace,
-        }
+            self.config.feasibility,
+        )
     }
 
     /// The streaming Phase I path: run once with `record_trace` off and
@@ -301,16 +268,11 @@ impl DeadlockFuzzer {
     /// need); [`Config::hb_filter`] cannot apply here — its vector
     /// clocks need the full trace — and [`Config::validate`] rejects the
     /// combination up front.
-    fn phase1_streamed(&self) -> Phase1Report {
+    fn phase1_streamed(&self, start: Instant) -> Phase1Report {
         debug_assert!(
             !self.config.hb_filter,
             "validate() rejects stream_phase1 + hb_filter"
         );
-        let start = Instant::now();
-        let obs = self.config.obs().clone();
-        obs.emit(&df_obs::TraceEvent::PhaseStart {
-            phase: "phase1".to_string(),
-        });
         let builder = Arc::new(std::sync::Mutex::new(RelationBuilder::new()));
         let program = Arc::clone(&self.program);
         let mut run = self
@@ -328,25 +290,41 @@ impl DeadlockFuzzer {
             move |ctx| program.run(ctx),
         );
         let relation = builder.lock().expect("relation builder sink").take();
-        let (cycles, stats, pstats) = igoodlock_parallel(
-            &relation,
-            None,
-            &self.config.igoodlock,
-            self.config.phase1_jobs,
-        );
+        // Streaming discards the event timeline the feasibility analysis
+        // scores from, so every cycle would come back `Unknown`; report
+        // none instead of noise.
+        self.finish_phase1(start, result, &relation, None, false)
+    }
+
+    /// The tail both Phase I paths share: join `relation` (pruned by
+    /// `hb` when given), abstract the cycles, score their feasibility
+    /// when `score_feasibility` is set (an empty vector otherwise),
+    /// count, and close the `phase1` span opened at `start`.
+    fn finish_phase1(
+        &self,
+        start: Instant,
+        result: RunResult,
+        relation: &LockDependencyRelation,
+        hb: Option<&HbFilter>,
+        score_feasibility: bool,
+    ) -> Phase1Report {
+        let obs = self.config.obs();
+        let (cycles, stats) = igoodlock_filtered(relation, hb, &self.config.igoodlock);
         let abstractor = Abstractor::new(self.config.mode);
         let abstract_cycles = cycles
             .iter()
             .map(|c| c.abstract_with(result.trace.objects(), &abstractor))
             .collect();
+        let feasibility = if score_feasibility {
+            FeasibilityAnalysis::new(&result.trace, relation).score_cycles(&cycles)
+        } else {
+            Vec::new()
+        };
         obs.counters().add_dependency_edges(relation.len() as u64);
         obs.counters().add_cycles_found(cycles.len() as u64);
         obs.counters()
             .add_join_candidates_examined(stats.join_candidates_examined);
         obs.counters().add_join_chains_built(stats.chains_built);
-        obs.counters()
-            .add_join_tasks_executed(pstats.tasks_executed);
-        obs.counters().add_join_steal_waits(pstats.steal_waits);
         obs.timings().record("phase1", start.elapsed());
         obs.emit(&df_obs::TraceEvent::PhaseEnd {
             phase: "phase1".to_string(),
@@ -354,10 +332,7 @@ impl DeadlockFuzzer {
         Phase1Report {
             cycles,
             abstract_cycles,
-            // Streaming discards the event timeline the feasibility
-            // analysis scores from, so every cycle would come back
-            // `Unknown`; report none instead of noise.
-            feasibility: Vec::new(),
+            feasibility,
             stats,
             relation_size: relation.len(),
             acquires_observed: relation.raw_count,

@@ -48,7 +48,6 @@ mod dfs;
 mod feasibility;
 mod hb;
 mod index;
-mod parallel;
 mod relation;
 
 pub use artifact::{
@@ -63,5 +62,17 @@ pub use cycle::{AbstractComponent, AbstractCycle, Cycle, CycleComponent};
 pub use dfs::{goodlock_dfs, GoodlockDfsStats};
 pub use feasibility::{CycleFeasibility, FeasibilityAnalysis, FeasibilityVerdict};
 pub use hb::{HbFilter, VectorClock};
-pub use parallel::{igoodlock_parallel, ParallelJoinStats};
 pub use relation::{modes_conflict, DepTiming, LockDep, LockDependencyRelation};
+
+/// Former multi-worker entry point, now [`igoodlock_filtered`] under its
+/// old signature: `_jobs` is ignored and the third element is empty.
+#[doc(hidden)]
+pub fn igoodlock_parallel(
+    relation: &LockDependencyRelation,
+    hb: Option<&HbFilter>,
+    options: &IGoodlockOptions,
+    _jobs: usize,
+) -> (Vec<Cycle>, IGoodlockStats, ()) {
+    let (cycles, stats) = igoodlock_filtered(relation, hb, options);
+    (cycles, stats, ())
+}

@@ -199,11 +199,6 @@ impl DedupIndex {
     }
 }
 
-/// Inputs smaller than this dedup sequentially even when
-/// [`LockDependencyRelation::from_deps_jobs`] is asked for workers —
-/// hashing a few hundred tuples is cheaper than spawning.
-const PARALLEL_DEDUP_MIN: usize = 256;
-
 /// The deduplicated lock dependency relation of one execution, plus the
 /// bookkeeping [`igoodlock`](crate::igoodlock) needs.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -256,8 +251,9 @@ impl LockDependencyRelation {
         }
     }
 
-    /// Builds a relation directly from tuples (used in tests and by the
-    /// real-thread substrate).
+    /// Builds a relation directly from tuples, deduplicated as
+    /// [`Self::from_trace`] does (used by tests, benches and models that
+    /// construct tuples by hand).
     pub fn from_deps(deps: Vec<LockDep>) -> Self {
         let raw_count = deps.len();
         let mut seen = DedupIndex::default();
@@ -267,99 +263,6 @@ impl LockDependencyRelation {
                 kept.push(d);
             }
         }
-        LockDependencyRelation {
-            deps: kept,
-            timings: Vec::new(),
-            raw_count,
-        }
-    }
-
-    /// Like [`Self::from_deps`], with the dedup sharded across `jobs`
-    /// worker threads by tuple hash (`0` = one worker per core).
-    ///
-    /// Duplicates of a tuple share its hash and therefore its shard, so
-    /// each shard sees every occurrence of the tuples it owns and keeps
-    /// exactly the first; the merge is a sorted union of first-occurrence
-    /// indices. The result is **identical** to the sequential dedup —
-    /// same tuples, same order, same serialized bytes — which is what
-    /// lets a fleet-merge of per-client relations finalize in parallel
-    /// without perturbing downstream cycle reports.
-    pub fn from_deps_jobs(deps: Vec<LockDep>, jobs: usize) -> Self {
-        let workers = if jobs == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            jobs
-        };
-        if workers <= 1 || deps.len() < PARALLEL_DEDUP_MIN {
-            return Self::from_deps(deps);
-        }
-        let raw_count = deps.len();
-        // Empty-lockset tuples are dropped before dedup, exactly as the
-        // sequential path does.
-        let candidates: Vec<LockDep> = deps.into_iter().filter(|d| !d.lockset.is_empty()).collect();
-        // Pass 1: hash every tuple, chunked across the workers.
-        let mut hashes = vec![0u64; candidates.len()];
-        let chunk = candidates.len().div_ceil(workers).max(1);
-        std::thread::scope(|s| {
-            for (slot, tuples) in hashes.chunks_mut(chunk).zip(candidates.chunks(chunk)) {
-                s.spawn(move || {
-                    for (h, d) in slot.iter_mut().zip(tuples) {
-                        *h = DedupIndex::hash_of(d);
-                    }
-                });
-            }
-        });
-        // Pass 2: shard `s` dedups the tuples whose hash lands in its
-        // bucket, walking in index order so it keeps first occurrences;
-        // hash collisions across distinct tuples fall back to the same
-        // exact compare the sequential DedupIndex uses.
-        let shards = workers as u64;
-        let mut kept_idx: Vec<u32> = std::thread::scope(|s| {
-            // The intermediate Vec is what makes the shards concurrent:
-            // fusing spawn and join into one iterator chain would join
-            // each handle before spawning the next.
-            #[allow(clippy::needless_collect)]
-            let handles: Vec<_> = (0..workers)
-                .map(|shard| {
-                    let hashes = &hashes;
-                    let candidates = &candidates;
-                    s.spawn(move || {
-                        let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-                        let mut kept: Vec<u32> = Vec::new();
-                        for (i, d) in candidates.iter().enumerate() {
-                            let h = hashes[i];
-                            if h % shards != shard as u64 {
-                                continue;
-                            }
-                            let ids = buckets.entry(h).or_default();
-                            if ids.iter().any(|&j| &candidates[j as usize] == d) {
-                                continue;
-                            }
-                            let idx = u32::try_from(i).expect("relation fits u32");
-                            ids.push(idx);
-                            kept.push(idx);
-                        }
-                        kept
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("dedup shard panicked"))
-                .collect()
-        });
-        kept_idx.sort_unstable();
-        let mut keep = vec![false; candidates.len()];
-        for &i in &kept_idx {
-            keep[i as usize] = true;
-        }
-        let kept: Vec<LockDep> = candidates
-            .into_iter()
-            .zip(keep)
-            .filter_map(|(d, k)| k.then_some(d))
-            .collect();
         LockDependencyRelation {
             deps: kept,
             timings: Vec::new(),
@@ -555,49 +458,6 @@ mod tests {
         assert!(!back.hold_blocks(ObjId::new(6), AcquireMode::Shared));
         assert!(back.hold_blocks(ObjId::new(4), AcquireMode::Shared));
         assert!(back.hold_blocks(ObjId::new(6), AcquireMode::Exclusive));
-    }
-
-    /// A tuple soup with heavy duplication, empty locksets, and shared
-    /// modes — everything the dedup has to get right.
-    fn dup_heavy_deps(n: u32) -> Vec<LockDep> {
-        (0..n)
-            .map(|i| {
-                let t = 1 + i % 7;
-                let held = i % 13;
-                let lock = 20 + i % 11;
-                let mut d = LockDep::exclusive(
-                    ThreadId::new(t),
-                    ObjId::new(t),
-                    if i % 17 == 0 {
-                        vec![]
-                    } else {
-                        vec![ObjId::new(100 + held)]
-                    },
-                    ObjId::new(100 + lock),
-                    vec![l(&format!("s:{}", i % 5)), l(&format!("s:{}", i % 3))],
-                );
-                if i % 4 == 0 {
-                    d.mode = AcquireMode::Shared;
-                }
-                d
-            })
-            .collect()
-    }
-
-    #[test]
-    fn sharded_dedup_matches_sequential_byte_for_byte() {
-        for n in [10, 255, 256, 2000] {
-            let seq = LockDependencyRelation::from_deps(dup_heavy_deps(n));
-            for jobs in [0, 1, 2, 3, 4, 8] {
-                let par = LockDependencyRelation::from_deps_jobs(dup_heavy_deps(n), jobs);
-                assert_eq!(par, seq, "n={n} jobs={jobs}");
-                assert_eq!(
-                    serde_json::to_string(&par).unwrap(),
-                    serde_json::to_string(&seq).unwrap(),
-                    "n={n} jobs={jobs}"
-                );
-            }
-        }
     }
 
     #[test]

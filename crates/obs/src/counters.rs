@@ -25,8 +25,6 @@ pub struct Counters {
     faults_injected: AtomicU64,
     join_candidates_examined: AtomicU64,
     join_chains_built: AtomicU64,
-    join_tasks_executed: AtomicU64,
-    join_steal_waits: AtomicU64,
     events_streamed: AtomicU64,
     wfg_edges: AtomicU64,
     wfg_cycles_detected: AtomicU64,
@@ -64,15 +62,6 @@ pub struct CounterSnapshot {
     pub join_candidates_examined: u64,
     /// Chains built by the iGoodlock join across all iterations.
     pub join_chains_built: u64,
-    /// Join tasks (frontier chunks) executed by the parallel Phase I
-    /// join. Scheduling observability only: unlike the result-derived
-    /// join counters this varies with `phase1_jobs` (and with nothing
-    /// else), so jobs-invariance comparisons exclude it.
-    pub join_tasks_executed: u64,
-    /// Times a parallel-join worker found the iteration's task queue
-    /// drained when it went back for more work. Varies with
-    /// `phase1_jobs`, like [`Self::join_tasks_executed`].
-    pub join_steal_waits: u64,
     /// Events delivered to streaming [`df_events::EventSink`]s.
     pub events_streamed: u64,
     /// Wait edges registered in the live wait-for graph (one per
@@ -172,10 +161,6 @@ impl Counters {
             join_candidates_examined => add_join_candidates_examined;
             /// Counts `n` chains built by the iGoodlock join.
             join_chains_built => add_join_chains_built;
-            /// Counts `n` parallel-join tasks executed.
-            join_tasks_executed => add_join_tasks_executed;
-            /// Counts `n` drained-queue observations by join workers.
-            join_steal_waits => add_join_steal_waits;
             /// Counts `n` events delivered to streaming sinks.
             events_streamed => add_events_streamed;
             /// Counts `n` wait edges registered in the live wait-for graph.
@@ -280,20 +265,6 @@ mod tests {
         assert_eq!(s.wfg_cycles_detected, 1);
         assert_eq!(s.lock_timeouts, 4);
         assert_eq!(s.poisoned_recovered, 1);
-    }
-
-    #[test]
-    fn parallel_join_counters_accumulate_and_merge() {
-        let a = Counters::new();
-        a.add_join_tasks_executed(4);
-        a.add_join_steal_waits(1);
-        let b = Counters::new();
-        b.add_join_tasks_executed(6);
-        b.add_join_steal_waits(2);
-        a.merge(&b.snapshot());
-        let s = a.snapshot();
-        assert_eq!(s.join_tasks_executed, 10);
-        assert_eq!(s.join_steal_waits, 3);
     }
 
     #[test]

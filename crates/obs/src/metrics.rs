@@ -77,6 +77,61 @@ mod tests {
         assert_eq!(m, back);
     }
 
+    /// A `df-metrics-v1` document from before the parallel Phase I join
+    /// was removed still carries `join_tasks_executed` and
+    /// `join_steal_waits`; unknown counters are skipped, not rejected.
+    #[test]
+    fn v1_document_with_retired_join_counters_still_parses() {
+        let json = r#"{
+  "schema": "df-metrics-v1",
+  "program": "figure1",
+  "counters": {
+    "acquires_observed": 8,
+    "dependency_edges": 2,
+    "cycles_found": 1,
+    "threads_paused": 2,
+    "thrash_events": 0,
+    "yields_taken": 14,
+    "trial_retries": 0,
+    "faults_injected": 0,
+    "join_candidates_examined": 4,
+    "join_chains_built": 3,
+    "join_tasks_executed": 5,
+    "join_steal_waits": 1,
+    "events_streamed": 0,
+    "wfg_edges": 0,
+    "wfg_cycles_detected": 0,
+    "lock_timeouts": 0,
+    "poisoned_recovered": 0,
+    "spill_backpressure_waits": 0,
+    "cycles_pruned_infeasible": 0,
+    "trials_saved": 0,
+    "peak_trace_bytes": 2272
+  },
+  "phases": [
+    {
+      "name": "phase1",
+      "micros": 10040,
+      "count": 1
+    }
+  ],
+  "extra": {
+    "potential_cycles": 1.0
+  }
+}"#;
+        let m = Metrics::from_json(json).expect("old v1 document parses");
+        assert_eq!(m.program, "figure1");
+        assert_eq!(m.counters.acquires_observed, 8);
+        assert_eq!(m.counters.join_chains_built, 3);
+        assert_eq!(m.counters.events_streamed, 0);
+        assert_eq!(m.counters.peak_trace_bytes, 2272);
+        assert_eq!(m.phases.len(), 1);
+        assert_eq!(m.extra["potential_cycles"], 1.0);
+        let rewritten = m.to_json_pretty();
+        assert!(!rewritten.contains("join_tasks_executed"), "{rewritten}");
+        assert!(!rewritten.contains("join_steal_waits"), "{rewritten}");
+    }
+
     #[test]
     fn schema_mismatch_is_rejected() {
         let mut m = Metrics::new("figure1");
