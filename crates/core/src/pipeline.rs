@@ -30,8 +30,9 @@ const RETRY_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 /// The distilled result of one confirmation trial as it crosses back
 /// from a pool worker: the final attempt's classification plus the
 /// worker's observability shard (absorbed in trial order by the
-/// aggregator). The full [`Phase2Report`] (with its trace) stays on the
-/// worker — campaigns only need the tallies.
+/// aggregator). Campaigns only need these tallies, so trials run with
+/// trace recording off; a trial's full trace, when wanted, comes from
+/// re-running its seed through [`DeadlockFuzzer::phase2`].
 struct TrialRun {
     outcome: TrialOutcome,
     deadlocked: bool,
@@ -436,6 +437,10 @@ impl DeadlockFuzzer {
     /// One confirmation trial (`phase2` plus the bounded seed-rotating
     /// retry loop), recording into a private shard of `obs` so trials on
     /// different workers never interleave their counters or trace lines.
+    /// The trial's event trace has no reader, so it is never recorded;
+    /// witness matching needs only the object table, which the runtime
+    /// keeps either way. Schedules, verdicts and tallies are those of a
+    /// recorded `phase2` on the same seed.
     fn run_confirmation_trial(
         &self,
         cycle: &AbstractCycle,
@@ -443,7 +448,8 @@ impl DeadlockFuzzer {
         obs: &df_obs::Obs,
     ) -> TrialRun {
         let shard = obs.fork_shard();
-        let runner = self.with_obs_shard(shard.clone());
+        let mut runner = self.with_obs_shard(shard.clone());
+        runner.config.run.record_trace = false;
         let base_seed = self.config.phase2_seed_base + u64::from(trial);
         let mut attempt = 0u32;
         let r = loop {

@@ -1,9 +1,9 @@
 //! Algorithm 3: the DEADLOCKFUZZER active random scheduler.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use df_abstraction::{Abstraction, AbstractionMode, Abstractor};
-use df_events::{Event, EventKind, Label, ObjId, ThreadId};
+use df_abstraction::{AbstractionMode, Abstractor};
+use df_events::{Event, EventKind, Label, ObjId, ObjectTable, ThreadId};
 use df_igoodlock::AbstractCycle;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -111,18 +111,101 @@ pub struct ActiveStrategy {
     config: ActiveConfig,
     abstractor: Abstractor,
     rng: ChaCha8Rng,
-    /// Paused threads → the pick count at which they were paused.
-    paused: HashMap<ThreadId, u64>,
+    /// Paused threads, each with the pick count at which it was paused.
+    /// Only threads at a cycle acquire are paused, a handful at a time,
+    /// so a scan beats hashing.
+    paused: Vec<(ThreadId, u64)>,
     /// Threads released from `Paused` (by thrashing or the monitor): they
     /// proceed through their current acquire without being re-paused.
-    released: HashSet<ThreadId>,
+    released: Vec<ThreadId>,
     /// Deferral counts per `(thread, site)` for the §4 yield gate.
     yielded: HashMap<(ThreadId, Label), u32>,
     stats: StrategyStats,
     monitor_releases: u64,
+    /// Which cycle components each object's abstraction equals.
+    membership: Membership,
     /// Buffers reused by every [`Strategy::pick`], so a scheduling decision
     /// allocates nothing once they have grown.
     scratch: PickScratch,
+}
+
+/// Per-object cache of the abstraction half of the membership tests:
+/// which target-cycle components an object's abstraction equals, as a
+/// thread and as a lock.
+///
+/// An object's abstraction is fixed once the object is created (its
+/// site, owner chain and execution index never change), so one
+/// [`Abstractor::abs`] per object and run answers every later test, and
+/// a pick compares only sites and contexts. Masks hold one bit per
+/// component in as many `u64` words as the cycle needs.
+#[derive(Debug)]
+struct Membership {
+    /// Words per mask.
+    words: usize,
+    /// Per object id: whether its masks in `masks` are computed.
+    known: Vec<bool>,
+    /// Per object id, `2 * words` words: the thread mask, then the lock
+    /// mask. Bit `i` is set when component `i`'s thread (lock)
+    /// abstraction equals the object's.
+    masks: Vec<u64>,
+}
+
+impl Membership {
+    fn new(components: usize) -> Self {
+        Membership {
+            words: components.div_ceil(64),
+            known: Vec::new(),
+            masks: Vec::new(),
+        }
+    }
+
+    /// Computes `obj`'s masks unless they are known already.
+    fn learn(
+        &mut self,
+        cycle: &AbstractCycle,
+        abstractor: &Abstractor,
+        objects: &ObjectTable,
+        obj: ObjId,
+    ) {
+        let i = obj.as_usize();
+        if i >= self.known.len() {
+            self.known.resize(i + 1, false);
+            self.masks.resize((i + 1) * 2 * self.words, 0);
+        }
+        if self.known[i] {
+            return;
+        }
+        self.known[i] = true;
+        let abs = abstractor.abs(objects, obj);
+        let w = self.words;
+        let slot = &mut self.masks[i * 2 * w..(i + 1) * 2 * w];
+        for (c, component) in cycle.components().iter().enumerate() {
+            let bit = 1u64 << (c % 64);
+            if component.thread == abs {
+                slot[c / 64] |= bit;
+            }
+            if component.lock == abs {
+                slot[w + c / 64] |= bit;
+            }
+        }
+    }
+
+    /// The thread mask of a learned object.
+    fn as_thread(&self, obj: ObjId) -> &[u64] {
+        let start = obj.as_usize() * 2 * self.words;
+        &self.masks[start..start + self.words]
+    }
+
+    /// The lock mask of a learned object.
+    fn as_lock(&self, obj: ObjId) -> &[u64] {
+        let start = (obj.as_usize() * 2 + 1) * self.words;
+        &self.masks[start..start + self.words]
+    }
+}
+
+/// Whether bit `i` of `mask` is set.
+fn has(mask: &[u64], i: usize) -> bool {
+    mask[i / 64] >> (i % 64) & 1 == 1
 }
 
 /// Per-decision working sets of [`ActiveStrategy::pick`].
@@ -139,15 +222,17 @@ impl ActiveStrategy {
     pub fn new(config: ActiveConfig) -> Self {
         let abstractor = Abstractor::new(config.mode);
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
+        let membership = Membership::new(config.cycle.len());
         ActiveStrategy {
             config,
             abstractor,
             rng,
-            paused: HashMap::new(),
-            released: HashSet::new(),
+            paused: Vec::new(),
+            released: Vec::new(),
             yielded: HashMap::new(),
             stats: StrategyStats::default(),
             monitor_releases: 0,
+            membership,
             scratch: PickScratch::default(),
         }
     }
@@ -155,34 +240,77 @@ impl ActiveStrategy {
     /// The membership test of Algorithm 3 line 12:
     /// `(abs(t), abs(l), Context[t]) ∈ Cycle`.
     fn matches_component(
-        &self,
+        &mut self,
         view: &StateView<'_>,
         t: &ThreadView<'_>,
         lock: ObjId,
         site: Label,
     ) -> bool {
-        let thread_abs = self.abstractor.abs(view.objects(), t.obj);
-        let lock_abs = self.abstractor.abs(view.objects(), lock);
-        self.config
-            .cycle
-            .find_component(
-                &thread_abs,
-                &lock_abs,
-                t.context_stack,
-                site,
-                self.config.use_context,
-            )
-            .is_some()
+        let cycle = &self.config.cycle;
+        self.membership
+            .learn(cycle, &self.abstractor, view.objects(), t.obj);
+        self.membership
+            .learn(cycle, &self.abstractor, view.objects(), lock);
+        let thread_mask = self.membership.as_thread(t.obj);
+        let lock_mask = self.membership.as_lock(lock);
+        let use_context = self.config.use_context;
+        let verdict = cycle.components().iter().enumerate().any(|(i, c)| {
+            has(thread_mask, i)
+                && has(lock_mask, i)
+                && (!use_context || c.context_is(t.context_stack, site))
+        });
+        #[cfg(debug_assertions)]
+        {
+            let thread_abs = self.abstractor.abs(view.objects(), t.obj);
+            let lock_abs = self.abstractor.abs(view.objects(), lock);
+            let uncached = cycle
+                .find_component(&thread_abs, &lock_abs, t.context_stack, site, use_context)
+                .is_some();
+            debug_assert_eq!(verdict, uncached, "cached component membership");
+        }
+        verdict
     }
 
     /// The §4 test: is `t` about to perform the *outermost* acquire of a
     /// cycle component it belongs to (by thread abstraction)?
-    fn matches_yield_gate(&self, thread_abs: &Abstraction, site: Label) -> bool {
-        self.config
-            .cycle
+    fn matches_yield_gate(
+        &mut self,
+        view: &StateView<'_>,
+        t: &ThreadView<'_>,
+        site: Label,
+    ) -> bool {
+        let cycle = &self.config.cycle;
+        self.membership
+            .learn(cycle, &self.abstractor, view.objects(), t.obj);
+        let thread_mask = self.membership.as_thread(t.obj);
+        let verdict = cycle
             .components()
             .iter()
-            .any(|c| &c.thread == thread_abs && c.outermost_site() == site)
+            .enumerate()
+            .any(|(i, c)| has(thread_mask, i) && c.outermost_site() == site);
+        #[cfg(debug_assertions)]
+        {
+            let thread_abs = self.abstractor.abs(view.objects(), t.obj);
+            let uncached = cycle
+                .components()
+                .iter()
+                .any(|c| c.thread == thread_abs && c.outermost_site() == site);
+            debug_assert_eq!(verdict, uncached, "cached yield-gate membership");
+        }
+        verdict
+    }
+
+    /// Whether `t` is paused.
+    fn is_paused(&self, t: ThreadId) -> bool {
+        self.paused.iter().any(|&(p, _)| p == t)
+    }
+
+    /// Moves `t` from `paused` to `released`.
+    fn unpause(&mut self, t: ThreadId) {
+        self.paused.retain(|&(p, _)| p != t);
+        if !self.released.contains(&t) {
+            self.released.push(t);
+        }
     }
 
     /// Un-pauses threads that exceeded the pause budget (the livelock
@@ -194,13 +322,12 @@ impl ActiveStrategy {
         let mut expired: Vec<ThreadId> = self
             .paused
             .iter()
-            .filter(|&(_, &at)| now.saturating_sub(at) > budget)
-            .map(|(&t, _)| t)
+            .filter(|&&(_, at)| now.saturating_sub(at) > budget)
+            .map(|&(t, _)| t)
             .collect();
         expired.sort();
         for &t in &expired {
-            self.paused.remove(&t);
-            self.released.insert(t);
+            self.unpause(t);
             self.monitor_releases += 1;
         }
         expired
@@ -234,7 +361,7 @@ impl ActiveStrategy {
                 enabled
                     .iter()
                     .copied()
-                    .filter(|t| !self.paused.contains_key(t) && !deferred.contains(t)),
+                    .filter(|&t| !self.is_paused(t) && !deferred.contains(&t)),
             );
             if choices.is_empty() {
                 if !deferred.is_empty() {
@@ -247,12 +374,7 @@ impl ActiveStrategy {
                 // Thrashing (§2.3): every enabled thread is paused; remove
                 // a random one from Paused. It will run through its pause
                 // point.
-                choices.extend(
-                    enabled
-                        .iter()
-                        .copied()
-                        .filter(|t| self.paused.contains_key(t)),
-                );
+                choices.extend(enabled.iter().copied().filter(|&t| self.is_paused(t)));
                 choices.sort_unstable();
                 if choices.is_empty() {
                     // Defensive: enabled threads exist but none is paused,
@@ -261,8 +383,7 @@ impl ActiveStrategy {
                     return Directive::Run(enabled[0]);
                 }
                 let victim = choices[self.rng.gen_range(0..choices.len())];
-                self.paused.remove(&victim);
-                self.released.insert(victim);
+                self.unpause(victim);
                 self.stats.thrashes += 1;
                 if self.config.obs.traces() {
                     self.config.obs.emit(&df_obs::TraceEvent::Thrash {
@@ -301,30 +422,27 @@ impl ActiveStrategy {
             // §4 yield optimization: defer the outermost acquire of a
             // cycle component once, letting other threads pass the
             // prefix of the cycle first.
-            if self.config.yield_optimization {
-                let thread_abs = self.abstractor.abs(view.objects(), t.obj);
-                if self.matches_yield_gate(&thread_abs, site) {
-                    let count = self.yielded.entry((t_id, site)).or_insert(0);
-                    if *count < self.config.yield_budget {
-                        *count += 1;
-                        self.stats.yields += 1;
-                        if self.config.obs.traces() {
-                            self.config.obs.emit(&df_obs::TraceEvent::Yield {
-                                step: view.steps(),
-                                thread: t_id,
-                                name: t.name.to_string(),
-                                site: site.to_string(),
-                            });
-                        }
-                        deferred.push(t_id);
-                        continue;
+            if self.config.yield_optimization && self.matches_yield_gate(view, &t, site) {
+                let count = self.yielded.entry((t_id, site)).or_insert(0);
+                if *count < self.config.yield_budget {
+                    *count += 1;
+                    self.stats.yields += 1;
+                    if self.config.obs.traces() {
+                        self.config.obs.emit(&df_obs::TraceEvent::Yield {
+                            step: view.steps(),
+                            thread: t_id,
+                            name: t.name.to_string(),
+                            site: site.to_string(),
+                        });
                     }
+                    deferred.push(t_id);
+                    continue;
                 }
             }
             // Algorithm 3 line 12: pause before an acquire that belongs to
             // the target cycle.
             if self.matches_component(view, &t, lock, site) {
-                self.paused.insert(t_id, self.stats.picks);
+                self.paused.push((t_id, self.stats.picks));
                 self.stats.pauses += 1;
                 if self.config.obs.traces() {
                     self.config.obs.emit(&df_obs::TraceEvent::Pause {
@@ -357,7 +475,7 @@ impl Strategy for ActiveStrategy {
             event.kind,
             EventKind::Acquire { .. } | EventKind::Reacquire { .. }
         ) {
-            self.released.remove(&event.thread);
+            self.released.retain(|&t| t != event.thread);
         }
     }
 
@@ -373,6 +491,7 @@ impl Strategy for ActiveStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use df_abstraction::Abstraction;
     use df_events::site;
     use df_igoodlock::{igoodlock, IGoodlockOptions, LockDependencyRelation};
     use df_runtime::{LockRef, RunConfig, RunResult, TCtx, VirtualRuntime};
@@ -645,6 +764,41 @@ mod tests {
         assert!(r.outcome.is_deadlock());
         assert!(r.stats.pauses >= 1, "at least one thread must be paused");
         assert!(r.stats.extra.contains_key("monitor_releases"));
+    }
+
+    #[test]
+    fn membership_masks_cover_cycles_longer_than_one_word() {
+        // A 70-component ring over 70 objects with distinct sites: object
+        // `k` is component `k`'s thread and component `k - 1`'s lock, so
+        // its bits straddle the first mask word for k = 64.
+        let n = 70;
+        let mut objects = ObjectTable::new();
+        let sites: Vec<Label> = (0..n).map(|k| Label::new(&format!("ring:{k}"))).collect();
+        let objs: Vec<ObjId> = sites
+            .iter()
+            .map(|&s| objects.create(df_events::ObjKind::Lock, s, None, Vec::new()))
+            .collect();
+        let abs = |k: usize| Abstraction::Site(sites[k % n]);
+        let cycle = AbstractCycle::new(
+            (0..n)
+                .map(|k| {
+                    df_igoodlock::AbstractComponent::exclusive(abs(k), abs(k + 1), vec![sites[k]])
+                })
+                .collect(),
+        );
+        let abstractor = Abstractor::new(AbstractionMode::Site);
+        let mut membership = Membership::new(cycle.len());
+        for (k, &obj) in objs.iter().enumerate() {
+            membership.learn(&cycle, &abstractor, &objects, obj);
+            let as_thread: Vec<usize> = (0..n)
+                .filter(|&i| has(membership.as_thread(obj), i))
+                .collect();
+            let as_lock: Vec<usize> = (0..n)
+                .filter(|&i| has(membership.as_lock(obj), i))
+                .collect();
+            assert_eq!(as_thread, [k], "object {k} as a thread");
+            assert_eq!(as_lock, [(k + n - 1) % n], "object {k} as a lock");
+        }
     }
 
     #[test]

@@ -290,6 +290,12 @@ impl AbstractComponent {
             .expect("context always includes the acquire site")
     }
 
+    /// Whether this component's context `C` is `held_sites` followed by
+    /// `site` — the context half of the membership test of Algorithm 3.
+    pub fn context_is(&self, held_sites: &[Label], site: Label) -> bool {
+        self.context.split_last() == Some((&site, held_sites))
+    }
+
     /// The site of the *outermost* acquisition in the context — where the
     /// thread starts entering the cycle (used by the §4 yield
     /// optimization).
@@ -349,7 +355,7 @@ impl AbstractCycle {
         self.components.iter().find(|c| {
             &c.thread == thread
                 && &c.lock == lock
-                && (!use_context || c.context.split_last() == Some((&site, held_sites)))
+                && (!use_context || c.context_is(held_sites, site))
         })
     }
 

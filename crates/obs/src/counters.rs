@@ -88,9 +88,12 @@ pub struct CounterSnapshot {
     pub trials_saved: u64,
     /// Largest in-memory event-trace footprint (approximate bytes) any
     /// single run materialized. A fully streamed observation keeps this
-    /// at zero — the assertion behind `dfz record --stream`. Unlike the
-    /// other counters this is a high-water mark: merging shards takes
-    /// the maximum, not the sum.
+    /// at zero — the assertion behind `dfz record --stream`. Phase II
+    /// confirmation trials run unrecorded and add nothing, so after a
+    /// full campaign this is the Phase I recording's footprint (a direct
+    /// `phase2` or replay, which keeps its trace, still counts). Unlike
+    /// the other counters this is a high-water mark: merging shards
+    /// takes the maximum, not the sum.
     pub peak_trace_bytes: u64,
 }
 

@@ -27,8 +27,13 @@ pub struct RunConfig {
     /// run is aborted with [`crate::Outcome::Hang`]. Guards against program
     /// closures that spin without instrumented operations.
     pub hang_timeout: Duration,
-    /// Whether to record the full event trace. Phase I needs it; Phase II
-    /// probability estimation can turn it off for speed.
+    /// Whether to keep the run's events in memory, in the event vector
+    /// of [`crate::RunResult::trace`]. Off, the runtime still builds the
+    /// object table and thread bindings, numbers every event, streams it
+    /// to `sink` and shows it to the strategy: only the vector is
+    /// skipped, so schedules and verdicts do not change. Phase I and
+    /// schedule replay read the events; Phase II confirmation campaigns
+    /// keep only tallies and run with recording off.
     pub record_trace: bool,
     /// Hard wall-clock deadline for the whole run, enforced even while the
     /// program makes steady progress (unlike `hang_timeout`, which only

@@ -154,9 +154,8 @@ impl Controller {
         F: FnOnce(&TCtx) + Send + 'static,
     {
         let me = ts.id;
-        debug_assert_eq!(me.as_usize(), inner.g.threads.len(), "ids are dense");
         let ctl = Arc::clone(self);
-        inner.g.threads.push(ts);
+        inner.g.add_thread(ts);
         inner
             .fibers
             .push(Fiber::new(Box::new(move || ctl.thread_main(me, f))));
@@ -213,7 +212,7 @@ impl Controller {
         self.inject_spurious_wakeup(inner);
         inner.g.enabled_into(&mut inner.enabled);
         if inner.enabled.is_empty() {
-            if inner.g.threads.iter().any(ThreadState::is_alive) {
+            if !inner.g.live.is_empty() {
                 let outcome = self.diagnose_stall(&inner.g, inner.g.alive());
                 self.abort(inner, outcome);
             } else {
@@ -973,7 +972,7 @@ impl Controller {
         let mut inner = self.inner.lock();
         if !matches!(inner.g.thread(me).status, ThreadStatus::Finished) {
             self.record(&mut inner, me, EventKind::ThreadExit);
-            inner.g.thread_mut(me).status = ThreadStatus::Finished;
+            inner.g.finish_thread(me);
             inner.g.progress += 1;
         }
         if inner.g.current == Some(me) {

@@ -151,7 +151,12 @@ impl LockState {
 /// The whole controller state, guarded by one mutex.
 #[derive(Debug)]
 pub(crate) struct Global {
+    /// Every thread of the run, indexed by id; finished ones stay.
     pub(crate) threads: Vec<ThreadState>,
+    /// The unfinished threads, in id order: the only ones a schedule
+    /// point has to look at. Maintained by [`Global::add_thread`] and
+    /// [`Global::finish_thread`].
+    pub(crate) live: Vec<ThreadId>,
     pub(crate) locks: HashMap<ObjId, LockState>,
     /// Condition-variable wait sets, FIFO per condvar.
     pub(crate) condvars: HashMap<ObjId, Vec<ThreadId>>,
@@ -176,6 +181,7 @@ impl Global {
     pub(crate) fn new(record_trace: bool) -> Self {
         Global {
             threads: Vec::new(),
+            live: Vec::new(),
             locks: HashMap::new(),
             condvars: HashMap::new(),
             trace: Trace::new(),
@@ -201,6 +207,22 @@ impl Global {
 
     pub(crate) fn thread_mut(&mut self, t: ThreadId) -> &mut ThreadState {
         &mut self.threads[t.as_usize()]
+    }
+
+    /// Registers a new thread. Ids are dense and handed out in order, so
+    /// pushing keeps both `threads` and `live` sorted by id.
+    pub(crate) fn add_thread(&mut self, ts: ThreadState) {
+        debug_assert_eq!(ts.id.as_usize(), self.threads.len(), "ids are dense");
+        self.live.push(ts.id);
+        self.threads.push(ts);
+    }
+
+    /// Marks `t` finished and drops it from the live set.
+    pub(crate) fn finish_thread(&mut self, t: ThreadId) {
+        self.thread_mut(t).status = ThreadStatus::Finished;
+        if let Ok(i) = self.live.binary_search(&t) {
+            self.live.remove(i);
+        }
     }
 
     pub(crate) fn lock_state(&self, l: ObjId) -> Option<&LockState> {
@@ -257,21 +279,12 @@ impl Global {
     /// schedule point reuses one allocation for the whole run.
     pub(crate) fn enabled_into(&self, out: &mut Vec<ThreadId>) {
         out.clear();
-        out.extend(
-            self.threads
-                .iter()
-                .filter(|ts| self.is_enabled(ts.id))
-                .map(|ts| ts.id),
-        );
+        out.extend(self.live.iter().copied().filter(|&t| self.is_enabled(t)));
     }
 
     /// All alive (non-finished) threads in id order.
     pub(crate) fn alive(&self) -> Vec<ThreadId> {
-        self.threads
-            .iter()
-            .filter(|ts| ts.is_alive())
-            .map(|ts| ts.id)
-            .collect()
+        self.live.clone()
     }
 }
 
@@ -396,12 +409,12 @@ mod tests {
     #[test]
     fn enabled_excludes_blocked_and_finished() {
         let mut g = Global::new(true);
-        g.threads.push(ThreadState::new(
+        g.add_thread(ThreadState::new(
             ThreadId::new(0),
             "a".into(),
             ObjId::new(0),
         ));
-        g.threads.push(ThreadState::new(
+        g.add_thread(ThreadState::new(
             ThreadId::new(1),
             "b".into(),
             ObjId::new(1),
@@ -423,7 +436,7 @@ mod tests {
         // Thread 0 announced Start → enabled. Thread 1 wants a held lock →
         // disabled.
         assert_eq!(g.enabled(), vec![ThreadId::new(0)]);
-        g.thread_mut(ThreadId::new(0)).status = ThreadStatus::Finished;
+        g.finish_thread(ThreadId::new(0));
         assert!(g.enabled().is_empty());
         assert_eq!(g.alive(), vec![ThreadId::new(1)]);
     }
@@ -432,7 +445,7 @@ mod tests {
     fn shared_acquire_enabled_alongside_readers_and_trys_never_block() {
         let mut g = Global::new(true);
         for i in 0..3 {
-            g.threads.push(ThreadState::new(
+            g.add_thread(ThreadState::new(
                 ThreadId::new(i),
                 format!("t{i}"),
                 ObjId::new(i),
@@ -472,7 +485,7 @@ mod tests {
     #[test]
     fn cond_wait_set_disables_until_notified() {
         let mut g = Global::new(true);
-        g.threads.push(ThreadState::new(
+        g.add_thread(ThreadState::new(
             ThreadId::new(0),
             "w".into(),
             ObjId::new(0),
@@ -489,12 +502,12 @@ mod tests {
     #[test]
     fn join_enabled_only_after_target_finishes() {
         let mut g = Global::new(true);
-        g.threads.push(ThreadState::new(
+        g.add_thread(ThreadState::new(
             ThreadId::new(0),
             "a".into(),
             ObjId::new(0),
         ));
-        g.threads.push(ThreadState::new(
+        g.add_thread(ThreadState::new(
             ThreadId::new(1),
             "b".into(),
             ObjId::new(1),
@@ -503,7 +516,7 @@ mod tests {
             target: ThreadId::new(1),
         });
         assert!(!g.is_enabled(ThreadId::new(0)));
-        g.thread_mut(ThreadId::new(1)).status = ThreadStatus::Finished;
+        g.finish_thread(ThreadId::new(1));
         assert!(g.is_enabled(ThreadId::new(0)));
     }
 }

@@ -3,7 +3,7 @@
 use df_events::{Label, ObjId, ObjectTable, ThreadId, Trace};
 
 use crate::pending::PendingOp;
-use crate::state::{Global, ThreadStatus};
+use crate::state::{Global, ThreadState, ThreadStatus};
 
 /// A read-only snapshot view of the controller state, passed to
 /// [`crate::Strategy`] at every scheduling decision.
@@ -41,23 +41,16 @@ pub struct ThreadView<'a> {
 impl<'a> StateView<'a> {
     /// All threads, in id order.
     pub fn threads(&self) -> Vec<ThreadView<'a>> {
-        self.g
-            .threads
-            .iter()
-            .map(|ts| ThreadView {
-                id: ts.id,
-                obj: ts.obj,
-                name: &ts.name,
-                pending: match &ts.status {
-                    ThreadStatus::Announced(op) => Some(op),
-                    _ => None,
-                },
-                lock_stack: &ts.lock_stack,
-                context_stack: &ts.context_stack,
-                alive: ts.is_alive(),
-                enabled: self.g.is_enabled(ts.id),
-            })
-            .collect()
+        let g = self.g;
+        g.threads.iter().map(|ts| thread_view(g, ts)).collect()
+    }
+
+    /// The unfinished threads, in id order. Only these can announce an
+    /// operation, so a scan for pending acquires or wait-for edges need
+    /// not visit the threads that already exited.
+    pub fn live_threads(&self) -> impl Iterator<Item = ThreadView<'a>> + 'a {
+        let g = self.g;
+        g.live.iter().map(move |&t| thread_view(g, g.thread(t)))
     }
 
     /// View of one thread.
@@ -66,20 +59,7 @@ impl<'a> StateView<'a> {
     ///
     /// Panics if `t` is not a thread of this execution.
     pub fn thread(&self, t: ThreadId) -> ThreadView<'a> {
-        let ts = &self.g.threads[t.as_usize()];
-        ThreadView {
-            id: ts.id,
-            obj: ts.obj,
-            name: &ts.name,
-            pending: match &ts.status {
-                ThreadStatus::Announced(op) => Some(op),
-                _ => None,
-            },
-            lock_stack: &ts.lock_stack,
-            context_stack: &ts.context_stack,
-            alive: ts.is_alive(),
-            enabled: self.g.is_enabled(t),
-        }
+        thread_view(self.g, self.g.thread(t))
     }
 
     /// The current owner of `lock`, if it is held.
@@ -92,17 +72,13 @@ impl<'a> StateView<'a> {
         self.g.lock_state(lock).map(|l| l.count).unwrap_or(0)
     }
 
-    /// Threads currently holding `lock` in shared (read) mode,
-    /// deduplicated, in id order.
-    pub fn lock_readers(&self, lock: ObjId) -> Vec<ThreadId> {
-        let mut rs = self
-            .g
+    /// One entry per shared (read) hold of `lock`, in no particular
+    /// order: a re-entrant read hold repeats its thread.
+    pub fn lock_readers(&self, lock: ObjId) -> &'a [ThreadId] {
+        self.g
             .lock_state(lock)
-            .map(|l| l.readers.clone())
-            .unwrap_or_default();
-        rs.sort_unstable();
-        rs.dedup();
-        rs
+            .map(|l| l.readers.as_slice())
+            .unwrap_or(&[])
     }
 
     /// The object table of the execution so far (for computing
@@ -129,5 +105,22 @@ impl<'a> StateView<'a> {
     /// Alive threads in id order (the paper's `Alive(s)`).
     pub fn alive(&self) -> Vec<ThreadId> {
         self.g.alive()
+    }
+}
+
+/// The strategy-facing view of one thread's state.
+fn thread_view<'a>(g: &'a Global, ts: &'a ThreadState) -> ThreadView<'a> {
+    ThreadView {
+        id: ts.id,
+        obj: ts.obj,
+        name: &ts.name,
+        pending: match &ts.status {
+            ThreadStatus::Announced(op) => Some(op),
+            _ => None,
+        },
+        lock_stack: &ts.lock_stack,
+        context_stack: &ts.context_stack,
+        alive: ts.is_alive(),
+        enabled: g.is_enabled(ts.id),
     }
 }

@@ -118,3 +118,66 @@ fn phase2_overhead_is_bounded() {
         active.steps
     );
 }
+
+#[test]
+fn unrecorded_campaign_trials_agree_with_recorded_phase2_runs() {
+    // Campaign trials run with trace recording off; their tallies must be
+    // exactly those of recorded `phase2` runs on the same seeds.
+    const TRIALS: u32 = 5;
+    for (name, program) in [
+        ("figure1", df_benchmarks::figure1::program(false)),
+        ("maps", df_benchmarks::maps::benchmark().program),
+        ("jigsaw", df_benchmarks::jigsaw::benchmark().program),
+    ] {
+        let fuzzer = DeadlockFuzzer::from_ref(program, Config::default());
+        let p1 = fuzzer.phase1();
+        assert!(
+            !p1.abstract_cycles.is_empty(),
+            "{name}: no cycle to confirm"
+        );
+        for (c, cycle) in p1.abstract_cycles.iter().enumerate() {
+            let campaign = fuzzer
+                .estimate_probability(cycle, TRIALS)
+                .expect("campaign runs");
+            let runs: Vec<Phase2Report> = (0..TRIALS)
+                .map(|i| fuzzer.phase2(cycle, fuzzer.config().phase2_seed_base + u64::from(i)))
+                .collect();
+            assert!(
+                runs.iter().all(|r| !r.trace.events().is_empty()),
+                "{name} cycle {c}: phase2 keeps its trace"
+            );
+            let count = |f: fn(&Phase2Report) -> bool| {
+                u32::try_from(runs.iter().filter(|r| f(r)).count()).expect("count <= TRIALS")
+            };
+            let avg = |f: fn(&Phase2Report) -> u64| {
+                runs.iter().map(f).sum::<u64>() as f64 / f64::from(TRIALS)
+            };
+            let what = format!("{name} cycle {c}");
+            assert_eq!(campaign.trials, TRIALS, "{what}");
+            assert_eq!(campaign.matched, count(|r| r.matched_target), "{what}");
+            assert_eq!(campaign.deadlocks, count(|r| r.deadlocked()), "{what}");
+            assert_eq!(campaign.avg_pauses, avg(|r| r.pauses), "{what}");
+            assert_eq!(campaign.avg_yields, avg(|r| r.yields), "{what}");
+            assert_eq!(campaign.avg_thrashes, avg(|r| r.thrashes), "{what}");
+            assert_eq!(campaign.avg_steps, avg(|r| r.steps), "{what}");
+        }
+    }
+}
+
+#[test]
+fn peak_trace_bytes_is_the_phase1_trace_once_trials_run_unrecorded() {
+    // Campaign trials hold no event vector, so the high-water mark of a
+    // full run is the Phase I recording.
+    let obs = df_obs::Obs::new();
+    let fuzzer = DeadlockFuzzer::from_ref(
+        df_benchmarks::lists::benchmark().program,
+        Config::default()
+            .with_confirm_trials(3)
+            .with_obs(obs.clone()),
+    );
+    let report = fuzzer.run();
+    assert!(report.confirmations.iter().any(|c| c.confirmed));
+    let phase1_bytes = report.phase1.trace.approx_event_bytes();
+    assert!(phase1_bytes > 0);
+    assert_eq!(obs.counters().snapshot().peak_trace_bytes, phase1_bytes);
+}
