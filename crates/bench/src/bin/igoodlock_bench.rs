@@ -8,7 +8,7 @@
 //! ```text
 //! cargo run --release -p df-bench --bin igoodlock_bench
 //! cargo run --release -p df-bench --bin igoodlock_bench -- \
-//!     --sizes 4,8,12,16 --pairs 48 --noise 4096 --reps 3 \
+//!     --sizes 4,8,12,16 --nested 4x12,5x12 --pairs 48 --noise 4096 --reps 3 \
 //!     --trace-events 1000000 --precision-trials 20 --out BENCH_igoodlock.json
 //! ```
 //!
@@ -45,6 +45,7 @@ struct BenchArtifact {
 
 struct Args {
     sizes: Vec<u32>,
+    nested: Vec<(u32, u32)>,
     pairs: u32,
     noise: u32,
     reps: u32,
@@ -55,6 +56,7 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut sizes = vec![4u32, 8, 12, 16];
+    let mut nested = vec![(4u32, 12u32), (5, 12)];
     let mut pairs = 48u32;
     let mut noise = 4096u32;
     let mut reps = 3u32;
@@ -73,6 +75,21 @@ fn parse_args() -> Args {
                             .collect()
                     })
                     .expect("--sizes needs a comma-separated list");
+            }
+            "--nested" => {
+                nested = args
+                    .next()
+                    .map(|v| {
+                        v.split(',')
+                            .map(|s| {
+                                s.trim()
+                                    .split_once('x')
+                                    .and_then(|(t, l)| Some((t.parse().ok()?, l.parse().ok()?)))
+                                    .expect("--nested needs THREADSxLOCKS entries")
+                            })
+                            .collect()
+                    })
+                    .expect("--nested needs a comma-separated list");
             }
             "--pairs" => {
                 pairs = args
@@ -115,6 +132,7 @@ fn parse_args() -> Args {
     }
     Args {
         sizes,
+        nested,
         pairs,
         noise,
         reps,
@@ -275,7 +293,7 @@ fn enforce_precision(rows: &[PrecisionRow]) {
 
 fn main() {
     let args = parse_args();
-    let join = match igoodlock_bench(&args.sizes, args.pairs, args.noise, args.reps) {
+    let join = match igoodlock_bench(&args.sizes, &args.nested, args.pairs, args.noise, args.reps) {
         Ok(rows) => rows,
         Err(e) => {
             eprintln!("parity failure: {e}");

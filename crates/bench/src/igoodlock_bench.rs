@@ -82,6 +82,35 @@ pub fn synthetic_join_relation(pairs: u32, noise: u32) -> LockDependencyRelation
     LockDependencyRelation::from_deps(deps)
 }
 
+/// The chain-heavy `nested-TxL` relation: each of `threads` threads
+/// nests every ordered pair `(a, b)`, `a < b`, of `locks` locks — it
+/// holds `a` while it acquires `b`. All threads respect one global lock
+/// order, so there is no cycle, but every run of distinct threads along
+/// a strictly increasing lock path is an open chain: the join's levels
+/// fan out the way they do on a trace of many workers nesting ordered
+/// pairs.
+pub fn nested_pairs_relation(threads: u32, locks: u32) -> LockDependencyRelation {
+    let lock = |i: u32| ObjId::new(100 + i);
+    let mut deps = Vec::new();
+    for t in 1..=threads {
+        for a in 0..locks {
+            for b in a + 1..locks {
+                deps.push(LockDep::exclusive(
+                    ThreadId::new(t),
+                    ObjId::new(t),
+                    vec![lock(a)],
+                    lock(b),
+                    vec![
+                        Label::new(&format!("Nested.outer:{a}")),
+                        Label::new(&format!("Nested.inner:{b}")),
+                    ],
+                ));
+            }
+        }
+    }
+    LockDependencyRelation::from_deps(deps)
+}
+
 /// One row of `BENCH_igoodlock.json`: a workload measured under all three
 /// cycle-computation implementations.
 #[derive(Clone, Debug, Serialize)]
@@ -185,11 +214,11 @@ pub fn igoodlock_bench_row(
 }
 
 /// The lowest `speedup` a bench row may report before the
-/// `igoodlock_bench` binary fails (see [`check_row_speedups`]). Small
-/// relations now dispatch to the naive join directly (the
-/// index-construction fast path), so indexed can never structurally lose
-/// to naive; what remains is wall-clock noise on microsecond-scale rows.
-/// Rows too fast to time reliably get a looser floor.
+/// `igoodlock_bench` binary fails (see [`check_row_speedups`]). The
+/// indexed join is level with naive on the smallest row (`ring-4`) and
+/// faster on every larger one; what remains is wall-clock noise on
+/// microsecond-scale rows, so rows too fast to time reliably get a
+/// looser floor.
 fn min_row_speedup(naive_ms: f64) -> f64 {
     if naive_ms >= 0.05 {
         0.9
@@ -199,12 +228,14 @@ fn min_row_speedup(naive_ms: f64) -> f64 {
 }
 
 /// The full sweep behind `BENCH_igoodlock.json`: a philosophers ring per
-/// entry of `ring_sizes`, plus one large synthetic relation of
+/// entry of `ring_sizes`, a [`nested_pairs_relation`] per `(threads,
+/// locks)` entry of `nested`, plus one large synthetic relation of
 /// `pairs` two-cycles and `noise` acyclic tuples. Fails only on a parity
 /// error (see [`igoodlock_bench_row`]); wall-clock is gated separately by
 /// [`check_row_speedups`].
 pub fn igoodlock_bench(
     ring_sizes: &[u32],
+    nested: &[(u32, u32)],
     pairs: u32,
     noise: u32,
     reps: u32,
@@ -213,6 +244,14 @@ pub fn igoodlock_bench(
     for &n in ring_sizes {
         let rel = philosophers_ring_relation(n);
         rows.push(igoodlock_bench_row(&format!("ring-{n}"), &rel, reps)?);
+    }
+    for &(threads, locks) in nested {
+        let rel = nested_pairs_relation(threads, locks);
+        rows.push(igoodlock_bench_row(
+            &format!("nested-{threads}x{locks}"),
+            &rel,
+            reps,
+        )?);
     }
     let rel = synthetic_join_relation(pairs, noise);
     rows.push(igoodlock_bench_row(
@@ -259,14 +298,29 @@ mod tests {
     }
 
     #[test]
+    fn nested_relation_is_acyclic_and_chain_heavy() {
+        let rel = nested_pairs_relation(3, 5);
+        // 3 threads x C(5, 2) ordered pairs.
+        assert_eq!(rel.len(), 30);
+        let (cycles, stats) = igoodlock_with_stats(&rel, &IGoodlockOptions::default());
+        assert!(cycles.is_empty());
+        // Per thread sequence (root smallest), one chain per strictly
+        // increasing lock path: 30 + 3 * C(5, 3) + 2 * C(5, 4).
+        assert_eq!(stats.chains_built, 30 + 30 + 10);
+    }
+
+    #[test]
     fn bench_rows_pass_parity_at_small_size() {
-        let rows = igoodlock_bench(&[4, 6], 4, 32, 3).expect("parity holds");
-        assert_eq!(rows.len(), 3);
+        let rows = igoodlock_bench(&[4, 6], &[(3, 5)], 4, 32, 3).expect("parity holds");
+        assert_eq!(rows.len(), 4);
         for row in &rows {
-            assert!(row.cycles > 0);
             assert!(row.chains_built >= row.relation_size as u64);
             assert!(row.indexed_candidates_examined <= row.naive_candidates_examined);
         }
-        assert_eq!(rows[2].cycles, 4);
+        assert_eq!(rows[0].cycles, 1);
+        assert_eq!(rows[1].cycles, 1);
+        assert_eq!(rows[2].workload, "nested-3x5");
+        assert_eq!(rows[2].cycles, 0);
+        assert_eq!(rows[3].cycles, 4);
     }
 }

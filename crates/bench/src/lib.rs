@@ -17,8 +17,8 @@ mod streaming_bench;
 mod trace_bench;
 
 pub use igoodlock_bench::{
-    check_row_speedups, igoodlock_bench, igoodlock_bench_row, philosophers_ring_relation,
-    synthetic_join_relation, IGoodlockBenchRow,
+    check_row_speedups, igoodlock_bench, igoodlock_bench_row, nested_pairs_relation,
+    philosophers_ring_relation, synthetic_join_relation, IGoodlockBenchRow,
 };
 pub use precision::{precision_bench, precision_row, PrecisionRow};
 pub use streaming_bench::{streaming_bench, streaming_bench_row, StreamingBenchRow};

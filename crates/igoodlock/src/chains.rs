@@ -6,9 +6,12 @@
 //!   and threads are interned to dense per-run ids, locksets become
 //!   bitsets, and candidates for extending a chain come from a per-lock
 //!   bucket (see [`crate::index`]) instead of a scan of the whole
-//!   relation. Chains carry dep indices and bitsets only; threads, locks
-//!   and contexts are materialized from the relation when a cycle is
-//!   actually reported.
+//!   relation. Each level's open chains live in two flat arrays (dep
+//!   indices and bitset words) that the join reuses level after level,
+//!   so it allocates per level, never per chain; threads, locks and
+//!   contexts are materialized from the relation when a cycle is
+//!   actually reported. It is the only join the pipeline runs, whatever
+//!   the relation's size.
 //! * [`naive_igoodlock`] / [`naive_igoodlock_filtered`] — the original
 //!   brute-force join, kept verbatim as a test oracle. Every property
 //!   test and the equivalence suite assert the two produce byte-identical
@@ -21,11 +24,11 @@
 
 use std::collections::HashSet;
 
-use df_events::{AcquireMode, ObjId};
+use df_events::{AcquireMode, ObjId, ThreadId};
 use serde::{Deserialize, Serialize};
 
 use crate::cycle::{Cycle, CycleComponent};
-use crate::index::{BitSet, JoinIndex};
+use crate::index::{bits, JoinIndex};
 use crate::relation::{LockDep, LockDependencyRelation};
 
 /// Options bounding the iGoodlock computation.
@@ -95,82 +98,120 @@ pub struct IGoodlockStats {
     pub join_candidates_examined: u64,
 }
 
-/// An open chain in the indexed join: dep indices plus fixed-width
-/// bitsets over the per-run interned ids. Nothing here borrows the
-/// relation, and extension clones only word-blocks — never thread, lock
-/// or context vectors.
-struct IndexedChain {
-    deps: Vec<u32>,
-    /// Interned threads present (Definition 2(1)).
-    thread_bits: BitSet,
-    /// Interned acquired locks present (Definition 2(2)).
-    lock_bits: BitSet,
-    /// Union of component locksets, any hold mode (mode-aware
-    /// Definition 2(4), one side of the conflict check).
-    lockset_union: BitSet,
-    /// Union of the components' *exclusively held* locksets (the other
-    /// side: a candidate's hold only conflicts with these, unless the
-    /// candidate itself holds exclusively).
-    lockset_excl_union: BitSet,
-    /// Interned lock acquired by the last component (Definition 2(3):
-    /// the next component must hold it — i.e. come from its bucket).
-    last_lock: u32,
-    /// Mode of that acquisition: selects which bucket (shared
-    /// acquisitions only conflict with exclusive holders).
-    last_mode: AcquireMode,
+/// Where an open chain's four bitsets sit in its block of words, all
+/// over the per-run interned ids: the threads present (Definition
+/// 2(1)), the acquired locks present (2(2)), the union of component
+/// locksets in any hold mode, and the union of their *exclusively held*
+/// locksets. The last two are the two sides of the mode-aware 2(4): a
+/// candidate's hold conflicts with the exclusive union, and its
+/// exclusive holds conflict with the whole union.
+#[derive(Clone, Copy)]
+struct ChainWords {
+    thread_words: usize,
+    lock_words: usize,
 }
 
-impl IndexedChain {
-    fn single(idx: u32, index: &JoinIndex) -> Self {
-        let i = idx as usize;
-        let mut thread_bits = BitSet::zeroed(index.thread_bits());
-        thread_bits.insert(index.thread_bit[i]);
-        let mut lock_bits = BitSet::zeroed(index.lock_bits());
-        lock_bits.insert(index.lock[i]);
-        IndexedChain {
-            deps: vec![idx],
-            thread_bits,
-            lock_bits,
-            lockset_union: index.lockset[i].clone(),
-            lockset_excl_union: index.lockset_excl[i].clone(),
-            last_lock: index.lock[i],
-            last_mode: index.mode[i],
+impl ChainWords {
+    fn new(index: &JoinIndex) -> Self {
+        ChainWords {
+            thread_words: index.thread_words(),
+            lock_words: index.lock_words(),
         }
     }
 
-    /// The Definition 2 + §2.2.3 filter for appending candidate `c`:
-    /// dedup root is the minimum thread id, threads and acquired locks
-    /// pairwise distinct, and the mode-aware disjoint-locksets check.
-    fn admits(&self, c: usize, index: &JoinIndex) -> bool {
-        let root = index.thread[self.deps[0] as usize];
+    /// Words per chain.
+    fn stride(self) -> usize {
+        self.thread_words + 3 * self.lock_words
+    }
+
+    /// The block's (threads, locks, lockset union, exclusive union).
+    fn split(self, block: &[u64]) -> (&[u64], &[u64], &[u64], &[u64]) {
+        let (threads, rest) = block.split_at(self.thread_words);
+        let (locks, rest) = rest.split_at(self.lock_words);
+        let (union, excl_union) = rest.split_at(self.lock_words);
+        (threads, locks, union, excl_union)
+    }
+
+    /// Adds tuple `i` to the chain whose block is `block`.
+    fn add(self, block: &mut [u64], i: usize, index: &JoinIndex) {
+        let (threads, rest) = block.split_at_mut(self.thread_words);
+        let (locks, rest) = rest.split_at_mut(self.lock_words);
+        let (union, excl_union) = rest.split_at_mut(self.lock_words);
+        bits::insert(threads, index.thread_bit[i]);
+        bits::insert(locks, index.lock[i]);
+        bits::union_into(union, index.lockset(i));
+        bits::union_into(excl_union, index.lockset_excl(i));
+    }
+
+    /// The Definition 2 + §2.2.3 filter for appending candidate `c` to
+    /// the chain whose block is `block` and whose first component runs
+    /// in thread `root`: dedup root is the minimum thread id, threads
+    /// and acquired locks pairwise distinct, and the mode-aware
+    /// disjoint-locksets check.
+    fn admits(self, block: &[u64], root: ThreadId, c: usize, index: &JoinIndex) -> bool {
+        let (threads, locks, union, excl_union) = self.split(block);
         !(index.thread[c] <= root
-            || self.thread_bits.contains(index.thread_bit[c])
-            || self.lock_bits.contains(index.lock[c])
-            || index.lockset[c].intersects(&self.lockset_excl_union)
-            || index.lockset_excl[c].intersects(&self.lockset_union))
+            || bits::contains(threads, index.thread_bit[c])
+            || bits::contains(locks, index.lock[c])
+            || bits::intersects(index.lockset(c), excl_union)
+            || bits::intersects(index.lockset_excl(c), union))
+    }
+}
+
+/// The open chains of one join level `D_k`, in flat storage: chain `n`
+/// is the dep indices `deps[n * len..(n + 1) * len]` plus the block
+/// `words[n * stride..(n + 1) * stride]` that [`ChainWords`] lays out.
+/// The last lock, its mode and the root thread are read from the deps.
+/// The join keeps two levels and swaps them, so it allocates per level
+/// (as the buffers grow), never per chain.
+struct Level {
+    /// Components per chain.
+    len: usize,
+    /// Open chains in the level.
+    chains: usize,
+    deps: Vec<u32>,
+    words: Vec<u64>,
+}
+
+impl Level {
+    fn new(len: usize) -> Self {
+        Level {
+            len,
+            chains: 0,
+            deps: Vec::new(),
+            words: Vec::new(),
+        }
     }
 
-    fn extended(&self, idx: u32, index: &JoinIndex) -> IndexedChain {
-        let i = idx as usize;
-        let mut deps = self.deps.clone();
-        deps.push(idx);
-        let mut thread_bits = self.thread_bits.clone();
-        thread_bits.insert(index.thread_bit[i]);
-        let mut lock_bits = self.lock_bits.clone();
-        lock_bits.insert(index.lock[i]);
-        let mut lockset_union = self.lockset_union.clone();
-        lockset_union.union_with(&index.lockset[i]);
-        let mut lockset_excl_union = self.lockset_excl_union.clone();
-        lockset_excl_union.union_with(&index.lockset_excl[i]);
-        IndexedChain {
-            deps,
-            thread_bits,
-            lock_bits,
-            lockset_union,
-            lockset_excl_union,
-            last_lock: index.lock[i],
-            last_mode: index.mode[i],
+    /// Empties the level for chains of `len` components, keeping its
+    /// buffers.
+    fn reset(&mut self, len: usize) {
+        self.len = len;
+        self.chains = 0;
+        self.deps.clear();
+        self.words.clear();
+    }
+
+    /// Appends the chain `parent_deps` + `idx`, whose parent's block is
+    /// `parent_words` (empty for a single-tuple chain).
+    fn push(
+        &mut self,
+        parent_deps: &[u32],
+        parent_words: &[u64],
+        idx: u32,
+        layout: ChainWords,
+        index: &JoinIndex,
+    ) {
+        self.deps.extend_from_slice(parent_deps);
+        self.deps.push(idx);
+        let start = self.words.len();
+        if parent_words.is_empty() {
+            self.words.resize(start + layout.stride(), 0);
+        } else {
+            self.words.extend_from_slice(parent_words);
         }
+        layout.add(&mut self.words[start..], idx as usize, index);
+        self.chains += 1;
     }
 }
 
@@ -238,30 +279,6 @@ pub fn igoodlock_filtered(
     hb: Option<&crate::hb::HbFilter>,
     options: &IGoodlockOptions,
 ) -> (Vec<Cycle>, IGoodlockStats) {
-    // Building a JoinIndex (interners, bitsets, buckets) costs more than
-    // the brute-force join saves on tiny relations — the ring-4 bench row
-    // ran at 0.64x naive before this dispatch. Below the threshold the
-    // oracle *is* the implementation.
-    if relation.len() < SMALL_RELATION_FAST_PATH {
-        return naive_igoodlock_filtered(relation, hb, options);
-    }
-    igoodlock_indexed_filtered(relation, hb, options)
-}
-
-/// Relations smaller than this skip [`JoinIndex`] construction and run
-/// the brute-force join directly: with fewer than this many tuples the
-/// index costs more to build than the scan it avoids.
-const SMALL_RELATION_FAST_PATH: usize = 8;
-
-/// The indexed join proper, with no size dispatch — what
-/// [`igoodlock_filtered`] runs above [`SMALL_RELATION_FAST_PATH`], kept
-/// directly callable so equivalence tests exercise the index even on
-/// tiny fixtures.
-fn igoodlock_indexed_filtered(
-    relation: &LockDependencyRelation,
-    hb: Option<&crate::hb::HbFilter>,
-    options: &IGoodlockOptions,
-) -> (Vec<Cycle>, IGoodlockStats) {
     let deps = relation.deps();
     let mut stats = IGoodlockStats::default();
     let mut cycles: Vec<Cycle> = Vec::new();
@@ -276,14 +293,22 @@ fn igoodlock_indexed_filtered(
     // duplicate work downstream.
     let mut reported: HashSet<Vec<u32>> = HashSet::new();
 
-    // D_1 = D.
-    let mut current: Vec<IndexedChain> = (0..deps.len())
-        .map(|i| IndexedChain::single(i as u32, &index))
-        .collect();
-    stats.chains_built += current.len() as u64;
-    let mut length = 1usize;
+    // Scratch buffer of the dedup key under test: a new key is copied
+    // into `reported` only when it is inserted.
+    let mut key: Vec<u32> = Vec::new();
+    let layout = ChainWords::new(&index);
+    let stride = layout.stride();
 
-    while !current.is_empty() {
+    // D_1 = D.
+    let mut current = Level::new(1);
+    for i in 0..deps.len() {
+        current.push(&[], &[], i as u32, layout, &index);
+    }
+    let mut next = Level::new(2);
+    stats.chains_built += current.chains as u64;
+
+    while current.chains > 0 {
+        let length = current.len;
         if let Some(max) = options.max_cycle_length {
             if length + 1 > max {
                 stats.truncated = true;
@@ -291,40 +316,48 @@ fn igoodlock_indexed_filtered(
             }
         }
         stats.iterations += 1;
-        stats.chains_per_iteration.push(current.len() as u64);
-        stats.peak_open_chains = stats.peak_open_chains.max(current.len() as u64);
-        let mut next: Vec<IndexedChain> = Vec::new();
-        for chain in &current {
+        stats.chains_per_iteration.push(current.chains as u64);
+        stats.peak_open_chains = stats.peak_open_chains.max(current.chains as u64);
+        next.reset(length + 1);
+        for (chain, block) in current
+            .deps
+            .chunks_exact(length)
+            .zip(current.words.chunks_exact(stride))
+        {
+            let first = chain[0] as usize;
+            let last = chain[length - 1] as usize;
+            let root = index.thread[first];
             // Definition 2(3) plus the mode edge rule is the bucket
             // membership (a shared last acquisition draws only from the
             // exclusive-holders bucket); `admits` is §2.2.3 plus 2(1),
             // 2(2) and the mode-aware 2(4). Buckets list tuples in
             // relation order, so accepted extensions appear in exactly
             // the order the naive scan would produce them.
-            for &cand in index.candidates(chain.last_lock, chain.last_mode) {
+            for &cand in index.candidates(index.lock[last], index.mode[last]) {
                 stats.join_candidates_examined += 1;
-                if !chain.admits(cand as usize, &index) {
+                let c = cand as usize;
+                if !layout.admits(block, root, c, &index) {
                     continue;
                 }
-                let ext = chain.extended(cand, &index);
                 stats.chains_built += 1;
+                let ext = || {
+                    chain
+                        .iter()
+                        .chain(std::iter::once(&cand))
+                        .map(|&i| i as usize)
+                };
                 // Definition 3: the first component holds the last
                 // acquired lock in a conflicting mode.
-                if index.closes_against(ext.deps[0] as usize, ext.last_lock, ext.last_mode) {
-                    let key: Vec<u32> = ext.deps.iter().map(|&i| index.proj[i as usize]).collect();
-                    if reported.insert(key) {
-                        let cycle = Cycle::new(
-                            ext.deps
-                                .iter()
-                                .map(|&i| CycleComponent::from(&deps[i as usize]))
-                                .collect(),
-                        );
+                if index.closes_against(first, index.lock[c], index.mode[c]) {
+                    key.clear();
+                    key.extend(ext().map(|i| index.proj[i]));
+                    if !reported.contains(key.as_slice()) {
+                        reported.insert(key.clone());
+                        let cycle =
+                            Cycle::new(ext().map(|i| CycleComponent::from(&deps[i])).collect());
                         if let Some(hb) = hb {
-                            let timings: Option<Vec<_>> = ext
-                                .deps
-                                .iter()
-                                .map(|&i| relation.timing(i as usize))
-                                .collect();
+                            let timings: Option<Vec<_>> =
+                                ext().map(|i| relation.timing(i)).collect();
                             if let Some(timings) = timings {
                                 if !hb.cycle_feasible(&cycle, &timings) {
                                     stats.pruned_by_hb += 1;
@@ -339,16 +372,15 @@ fn igoodlock_indexed_filtered(
                         }
                     }
                 } else {
-                    next.push(ext);
-                    if next.len() > options.max_open_chains {
+                    next.push(chain, block, cand, layout, &index);
+                    if next.chains > options.max_open_chains {
                         stats.truncated = true;
                         return (cycles, stats);
                     }
                 }
             }
         }
-        current = next;
-        length += 1;
+        std::mem::swap(&mut current, &mut next);
     }
     (cycles, stats)
 }
@@ -992,10 +1024,7 @@ mod tests {
         ];
         for rel in &fixtures {
             for opts in &options {
-                // Call the index directly: these fixtures sit below the
-                // small-relation dispatch, which would otherwise route
-                // the public entry point straight to the oracle.
-                let (ic, is) = igoodlock_indexed_filtered(rel, None, opts);
+                let (ic, is) = igoodlock_with_stats(rel, opts);
                 let (nc, ns) = naive_igoodlock_with_stats(rel, opts);
                 assert_eq!(ic, nc);
                 assert_eq!(is.chains_built, ns.chains_built);
@@ -1003,25 +1032,8 @@ mod tests {
                 assert_eq!(is.chains_per_iteration, ns.chains_per_iteration);
                 assert_eq!(is.truncated, ns.truncated);
                 assert_eq!(is.peak_open_chains, ns.peak_open_chains);
-                // The public entry point dispatches between the two, so
-                // it can only ever return this same answer.
-                let (pc, ps) = igoodlock_filtered(rel, None, opts);
-                assert_eq!(pc, nc);
-                assert_eq!(ps.chains_built, ns.chains_built);
             }
         }
-    }
-
-    #[test]
-    fn small_relations_skip_index_construction() {
-        // Below the threshold the public join returns the oracle's exact
-        // stats (per-chain candidate counts are |D|, the naive shape).
-        let rel = LockDependencyRelation::from_deps(vec![dep(1, &[1], 2), dep(2, &[2], 1)]);
-        assert!(rel.len() < SMALL_RELATION_FAST_PATH);
-        let (c, s) = igoodlock_with_stats(&rel, &IGoodlockOptions::default());
-        let (nc, ns) = naive_igoodlock_with_stats(&rel, &IGoodlockOptions::default());
-        assert_eq!(c, nc);
-        assert_eq!(s, ns);
     }
 }
 
@@ -1184,7 +1196,7 @@ mod proptests {
         /// shape, never more candidates examined.
         #[test]
         fn indexed_matches_naive_oracle(rel in arb_relation()) {
-            let (ic, is) = igoodlock_indexed_filtered(&rel, None, &IGoodlockOptions::default());
+            let (ic, is) = igoodlock_with_stats(&rel, &IGoodlockOptions::default());
             let (nc, ns) = naive_igoodlock_with_stats(&rel, &IGoodlockOptions::default());
             prop_assert_eq!(ic, nc);
             prop_assert_eq!(is.chains_built, ns.chains_built);
@@ -1198,7 +1210,7 @@ mod proptests {
         /// must accept/reject exactly what the scalar mode checks do.
         #[test]
         fn indexed_matches_naive_on_mixed_modes(rel in arb_mixed_relation()) {
-            let (ic, is) = igoodlock_indexed_filtered(&rel, None, &IGoodlockOptions::default());
+            let (ic, is) = igoodlock_with_stats(&rel, &IGoodlockOptions::default());
             let (nc, ns) = naive_igoodlock_with_stats(&rel, &IGoodlockOptions::default());
             prop_assert_eq!(ic, nc);
             prop_assert_eq!(is.chains_built, ns.chains_built);

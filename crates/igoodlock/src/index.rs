@@ -9,7 +9,8 @@
 //! * dense per-run ids for the relation's locks and threads
 //!   ([`df_events::DenseInterner`] — never process-global, so parallel
 //!   campaign workers stay independent);
-//! * a [`BitSet`] per tuple for its lockset, making Definition 2(3)/(4)
+//! * each tuple's lockset as a fixed-width bitset, all tuples in one
+//!   flat word array (see [`bits`]), making Definition 2(3)/(4)
 //!   membership and disjointness word-AND operations;
 //! * a bucket of candidate tuples per held lock: a chain ending in lock
 //!   `l` can only be extended by tuples whose lockset contains `l`
@@ -29,43 +30,35 @@ use df_events::{AcquireMode, DenseInterner, Label, ObjId, ThreadId};
 
 use crate::relation::LockDep;
 
-/// A fixed-width bitset over dense per-run ids (`Vec<u64>` blocks; one
-/// or two words for typical lock counts).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct BitSet {
-    blocks: Vec<u64>,
-}
-
-impl BitSet {
-    /// An empty set able to hold ids `0..nbits`.
-    pub(crate) fn zeroed(nbits: usize) -> Self {
-        BitSet {
-            blocks: vec![0; nbits.div_ceil(64)],
-        }
+/// Fixed-width bitsets over dense per-run ids, stored as `u64` word
+/// slices so that many of them can share one flat array (a tuple's
+/// locksets here, a chain's four sets in a join level). Every slice of
+/// one kind has the same width, so the binary operations zip words.
+pub(crate) mod bits {
+    /// Words needed for ids `0..nbits`.
+    pub(crate) fn words_for(nbits: usize) -> usize {
+        nbits.div_ceil(64)
     }
 
     /// Inserts `bit`.
-    pub(crate) fn insert(&mut self, bit: u32) {
-        self.blocks[bit as usize / 64] |= 1u64 << (bit as usize % 64);
+    pub(crate) fn insert(words: &mut [u64], bit: u32) {
+        words[bit as usize / 64] |= 1u64 << (bit as usize % 64);
     }
 
     /// Whether `bit` is present.
-    pub(crate) fn contains(&self, bit: u32) -> bool {
-        self.blocks[bit as usize / 64] & (1u64 << (bit as usize % 64)) != 0
+    pub(crate) fn contains(words: &[u64], bit: u32) -> bool {
+        words[bit as usize / 64] & (1u64 << (bit as usize % 64)) != 0
     }
 
     /// Whether the two sets share any bit (Definition 2(4)'s disjointness
     /// check, one AND per word).
-    pub(crate) fn intersects(&self, other: &BitSet) -> bool {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .any(|(a, b)| a & b != 0)
+    pub(crate) fn intersects(a: &[u64], b: &[u64]) -> bool {
+        a.iter().zip(b).any(|(a, b)| a & b != 0)
     }
 
-    /// Adds every bit of `other` into `self`.
-    pub(crate) fn union_with(&mut self, other: &BitSet) {
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+    /// Adds every bit of `src` into `dst`.
+    pub(crate) fn union_into(dst: &mut [u64], src: &[u64]) {
+        for (a, b) in dst.iter_mut().zip(src) {
             *a |= b;
         }
     }
@@ -82,13 +75,10 @@ pub(crate) struct JoinIndex {
     pub(crate) thread: Vec<ThreadId>,
     /// Interned thread of each tuple (for the Definition 2(1) bitset).
     pub(crate) thread_bit: Vec<u32>,
-    /// Interned lockset of each tuple as a bitset (all hold modes).
-    pub(crate) lockset: Vec<BitSet>,
-    /// The exclusively-held subset of each tuple's lockset. The
-    /// mode-aware Definition 2(4): two locksets conflict only where at
-    /// least one side holds a common lock exclusively, so disjointness
-    /// becomes two AND probes against these.
-    pub(crate) lockset_excl: Vec<BitSet>,
+    /// The locksets of all tuples, `2 * lock_words` words per tuple:
+    /// first the interned lockset in any hold mode ([`Self::lockset`]),
+    /// then its exclusively held subset ([`Self::lockset_excl`]).
+    lockset_words: Vec<u64>,
     /// Dense id of each tuple's `(thread, lock, mode, contexts)`
     /// projection — the cycle-dedup key space.
     pub(crate) proj: Vec<u32>,
@@ -116,10 +106,10 @@ impl JoinIndex {
         let mut threads: DenseInterner<ThreadId> = DenseInterner::new();
         // Projections are interned by exact value (contexts included) so
         // dedup over projection ids is precisely the naive dedup over
-        // `(thread, lock, mode, contexts)` tuples. The one context-vector
-        // clone per tuple happens here, at build time — never per
-        // candidate.
-        let mut projections: HashMap<(ThreadId, ObjId, AcquireMode, Vec<Label>), u32> =
+        // `(thread, lock, mode, contexts)` tuples. Keys borrow the
+        // contexts from the relation, so interning allocates nothing per
+        // tuple.
+        let mut projections: HashMap<(ThreadId, ObjId, AcquireMode, &[Label]), u32> =
             HashMap::new();
         let mut interned_ids = Vec::with_capacity(deps.len());
         for d in deps {
@@ -130,19 +120,19 @@ impl JoinIndex {
             threads.intern(d.thread);
             let next = u32::try_from(projections.len()).expect("relation fits u32");
             let id = *projections
-                .entry((d.thread, d.lock, d.mode, d.contexts.clone()))
+                .entry((d.thread, d.lock, d.mode, &d.contexts[..]))
                 .or_insert(next);
             interned_ids.push(id);
         }
         let lock_bits = locks.len();
         let thread_bits = threads.len();
+        let lock_words = bits::words_for(lock_bits);
         let mut index = JoinIndex {
             lock: Vec::with_capacity(deps.len()),
             mode: Vec::with_capacity(deps.len()),
             thread: Vec::with_capacity(deps.len()),
             thread_bit: Vec::with_capacity(deps.len()),
-            lockset: Vec::with_capacity(deps.len()),
-            lockset_excl: Vec::with_capacity(deps.len()),
+            lockset_words: vec![0; 2 * lock_words * deps.len()],
             proj: interned_ids,
             buckets: vec![Vec::new(); lock_bits],
             buckets_excl: vec![Vec::new(); lock_bits],
@@ -157,11 +147,12 @@ impl JoinIndex {
             index
                 .thread_bit
                 .push(threads.get(d.thread).expect("interned above"));
-            let mut set = BitSet::zeroed(lock_bits);
-            let mut set_excl = BitSet::zeroed(lock_bits);
+            let tuple_words =
+                &mut index.lockset_words[2 * lock_words * i..2 * lock_words * (i + 1)];
+            let (set, set_excl) = tuple_words.split_at_mut(lock_words);
             for (j, &l) in d.lockset.iter().enumerate() {
                 let bit = locks.get(l).expect("interned above");
-                set.insert(bit);
+                bits::insert(set, bit);
                 index.buckets[bit as usize].push(u32::try_from(i).expect("relation fits u32"));
                 let hold = d
                     .hold_modes
@@ -169,13 +160,11 @@ impl JoinIndex {
                     .copied()
                     .unwrap_or(AcquireMode::Exclusive);
                 if hold.is_exclusive() {
-                    set_excl.insert(bit);
+                    bits::insert(set_excl, bit);
                     index.buckets_excl[bit as usize]
                         .push(u32::try_from(i).expect("relation fits u32"));
                 }
             }
-            index.lockset.push(set);
-            index.lockset_excl.push(set_excl);
         }
         index
     }
@@ -203,19 +192,34 @@ impl JoinIndex {
         last_mode: AcquireMode,
     ) -> bool {
         match last_mode {
-            AcquireMode::Exclusive => self.lockset[first].contains(last_lock),
-            AcquireMode::Shared => self.lockset_excl[first].contains(last_lock),
+            AcquireMode::Exclusive => bits::contains(self.lockset(first), last_lock),
+            AcquireMode::Shared => bits::contains(self.lockset_excl(first), last_lock),
         }
     }
 
-    /// Width of lock bitsets.
-    pub(crate) fn lock_bits(&self) -> usize {
-        self.lock_bits
+    /// Tuple `i`'s interned lockset, all hold modes.
+    pub(crate) fn lockset(&self, i: usize) -> &[u64] {
+        let words = self.lock_words();
+        &self.lockset_words[2 * words * i..2 * words * i + words]
     }
 
-    /// Width of thread bitsets.
-    pub(crate) fn thread_bits(&self) -> usize {
-        self.thread_bits
+    /// The exclusively held subset of tuple `i`'s lockset. The
+    /// mode-aware Definition 2(4): two locksets conflict only where at
+    /// least one side holds a common lock exclusively, so disjointness
+    /// becomes two AND probes against these.
+    pub(crate) fn lockset_excl(&self, i: usize) -> &[u64] {
+        let words = self.lock_words();
+        &self.lockset_words[2 * words * i + words..2 * words * (i + 1)]
+    }
+
+    /// Words per lock bitset.
+    pub(crate) fn lock_words(&self) -> usize {
+        bits::words_for(self.lock_bits)
+    }
+
+    /// Words per thread bitset.
+    pub(crate) fn thread_words(&self) -> usize {
+        bits::words_for(self.thread_bits)
     }
 }
 
@@ -238,21 +242,22 @@ mod tests {
 
     #[test]
     fn bitset_operations() {
-        let mut a = BitSet::zeroed(130);
-        let mut b = BitSet::zeroed(130);
-        a.insert(0);
-        a.insert(129);
-        b.insert(64);
-        assert!(a.contains(129));
-        assert!(!a.contains(64));
-        assert!(!a.intersects(&b));
-        b.insert(0);
-        assert!(a.intersects(&b));
-        let mut u = BitSet::zeroed(130);
-        u.union_with(&a);
-        u.union_with(&b);
+        assert_eq!(bits::words_for(130), 3);
+        let mut a = vec![0u64; bits::words_for(130)];
+        let mut b = vec![0u64; bits::words_for(130)];
+        bits::insert(&mut a, 0);
+        bits::insert(&mut a, 129);
+        bits::insert(&mut b, 64);
+        assert!(bits::contains(&a, 129));
+        assert!(!bits::contains(&a, 64));
+        assert!(!bits::intersects(&a, &b));
+        bits::insert(&mut b, 0);
+        assert!(bits::intersects(&a, &b));
+        let mut u = vec![0u64; bits::words_for(130)];
+        bits::union_into(&mut u, &a);
+        bits::union_into(&mut u, &b);
         for bit in [0u32, 64, 129] {
-            assert!(u.contains(bit));
+            assert!(bits::contains(&u, bit));
         }
     }
 
@@ -283,8 +288,8 @@ mod tests {
             index.candidates(index.lock[3], AcquireMode::Exclusive),
             &[] as &[u32]
         );
-        assert_eq!(index.lock_bits(), 5);
-        assert_eq!(index.thread_bits(), 4);
+        assert_eq!(index.lock_bits, 5);
+        assert_eq!(index.thread_bits, 4);
     }
 
     #[test]
@@ -298,14 +303,14 @@ mod tests {
         let index = JoinIndex::build(&[read_holder, write_holder]);
         // Lock 101 is the single held lock of both tuples; find its bit
         // via tuple 1's lockset.
-        let bit = (0..index.lock_bits() as u32)
-            .find(|&b| index.lockset[1].contains(b))
+        let bit = (0..index.lock_bits as u32)
+            .find(|&b| bits::contains(index.lockset(1), b))
             .unwrap();
         assert_eq!(index.candidates(bit, AcquireMode::Exclusive), &[0, 1]);
         assert_eq!(index.candidates(bit, AcquireMode::Shared), &[1]);
-        assert!(index.lockset[0].contains(bit));
-        assert!(!index.lockset_excl[0].contains(bit));
-        assert!(index.lockset_excl[1].contains(bit));
+        assert!(bits::contains(index.lockset(0), bit));
+        assert!(!bits::contains(index.lockset_excl(0), bit));
+        assert!(bits::contains(index.lockset_excl(1), bit));
         // Closing checks follow the same rule.
         assert!(index.closes_against(0, bit, AcquireMode::Exclusive));
         assert!(!index.closes_against(0, bit, AcquireMode::Shared));

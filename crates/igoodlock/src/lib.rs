@@ -18,6 +18,8 @@
 //!    The join is *indexed*: locks and threads are interned to dense
 //!    per-run ids, locksets are bitsets, and extension candidates come
 //!    from a per-lock bucket rather than a scan of the whole relation.
+//!    Each level's chains live in two reused flat arrays, so the join
+//!    allocates per level, not per chain.
 //!    The brute-force join is kept as [`naive_igoodlock`] — a test
 //!    oracle with byte-identical output.
 //!
